@@ -82,16 +82,13 @@ class AugmentationSpace:
         """The fixed test-space basis selected by ``choice``."""
         return self.u if self.choice is Constraint.GALERKIN else self.c
 
-    @property
-    def _fast(self) -> bool:
-        # With orthonormal image columns and the MINRES test space the small
-        # product is the identity; skip the factored solves.
-        return self.c_orthonormal and self.choice is Constraint.MINRES
-
     def solve_small(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Apply the inverse of the k x k test-space product (or its adjoint)."""
         if self.k == 0:
             return np.zeros_like(rhs)
+        if self.c_orthonormal and self.choice is Constraint.MINRES:
+            # the small product is the identity; skip the factored solves
+            return rhs
         return scipy.linalg.lu_solve(
             self._small_lu, rhs, trans=2 if adjoint else 0, check_finite=False
         )
@@ -176,8 +173,6 @@ def apply_complement_projector(aug: AugmentationSpace, v: np.ndarray) -> np.ndar
         raise DimensionError(f"operand length {v.shape[0]} != {aug.n}")
     if aug.k == 0:
         return v.copy()
-    if aug._fast:
-        return v - aug.c @ (aug.c.conj().T @ v)
     return v - aug.c @ aug.solve_small(aug.u_tilde.conj().T @ v)
 
 
@@ -189,8 +184,6 @@ def apply_complement_projector_adjoint(aug: AugmentationSpace, v: np.ndarray) ->
         raise DimensionError(f"operand length {v.shape[0]} != {aug.n}")
     if aug.k == 0:
         return v.copy()
-    if aug._fast:
-        return v - aug.c @ (aug.c.conj().T @ v)
     return v - aug.u_tilde @ aug.solve_small(aug.c.conj().T @ v, adjoint=True)
 
 
@@ -206,10 +199,7 @@ def projected_residual(aug: AugmentationSpace, r0: np.ndarray):
         raise DimensionError(f"residual length {r0.shape[0]} != {aug.n}")
     if aug.k == 0:
         return r0.copy(), np.zeros(0, dtype=r0.dtype)
-    if aug._fast:
-        z0 = aug.c.conj().T @ r0
-    else:
-        z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
+    z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
     return r0 - aug.c @ z0, z0
 
 
@@ -266,8 +256,6 @@ def compute_coupling(aug: AugmentationSpace, v: np.ndarray, hbar: np.ndarray) ->
         return np.zeros((0, hbar.shape[1]), dtype=hbar.dtype)
     ncols = min(v.shape[1], hbar.shape[0])
     uv = aug.u_tilde.conj().T @ v[:, :ncols]
-    if aug._fast:
-        return uv @ hbar[:ncols, :]
     return aug.solve_small(uv @ hbar[:ncols, :])
 
 
@@ -280,8 +268,6 @@ def z_correction(
         return np.zeros(0, dtype=np.asarray(r0).dtype)
     if np.asarray(y).shape[0] != np.asarray(b).shape[1]:
         raise DimensionError("coupling matrix and y disagree on j")
-    if aug._fast:
-        return aug.c.conj().T @ r0 - b @ y
     return aug.solve_small(aug.u_tilde.conj().T @ r0) - b @ y
 
 
@@ -302,10 +288,7 @@ def projected_arnoldi(a, aug: AugmentationSpace, r_hat: np.ndarray, m: int, reor
 
     def apply(x):
         w = op(x)
-        if aug._fast:
-            s = aug.c.conj().T @ w
-        else:
-            s = aug.solve_small(aug.u_tilde.conj().T @ w)
+        s = aug.solve_small(aug.u_tilde.conj().T @ w)
         coeffs.append(s)
         return w - aug.c @ s
 

@@ -126,18 +126,21 @@ def _gmres_correction(dec: ArnoldiDecomposition, beta: float, size: int) -> np.n
 def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
     """One FOM cycle: Arnoldi plus the Galerkin correction.
 
-    Returns ``(y, dec)`` where ``y`` solves ``H_j y = ||r|| e_1`` at the
-    achieved size. A singular ``H_j`` raises :class:`SolverBreakdownError`
-    carrying the decomposition so the caller may retry truncated.
+    Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
+    largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
+    ``len(y)`` may fall short of ``dec.j``. Raises
+    :class:`SolverBreakdownError` carrying the decomposition when no size is
+    nonsingular.
     """
     op = as_operator(a)
     dec = arnoldi(op, r, m, reorth=reorth)
     beta = float(np.linalg.norm(r))
-    try:
-        y = _fom_correction(dec, beta, dec.j)
-    except SingularMatrixError as exc:
-        raise SolverBreakdownError(f"singular Hessenberg at size {dec.j}", dec) from exc
-    return y, dec
+    for size in range(dec.j, 0, -1):
+        try:
+            return _fom_correction(dec, beta, size), dec
+        except SingularMatrixError:
+            pass
+    raise SolverBreakdownError(f"singular Hessenberg at every size up to {dec.j}", dec)
 
 
 def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
@@ -177,82 +180,49 @@ def inner_residual_norms(dec: ArnoldiDecomposition, beta: float, method: str):
     return out
 
 
-def _apply_cycle_update(x, r, dec, y, size):
-    """Shared iterate/residual update ``x += V_j y``, ``r -= V_{j+1} Hbar y``."""
+def _krylov_update(history, cycle, x, r, rnorm, dec, y, method):
+    """Record the inner norms of a FOM/GMRES cycle, then update
+    ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y`` at the size ``i = len(y)``.
+
+    Returns ``(x, r, i)``.
+    """
+    size = len(y)
+    for i, val in inner_residual_norms(dec, rnorm, method):
+        if i < size:
+            history.append((cycle, i, val))
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
     ncols = min(size + 1, dec.v.shape[1])
     r = r - dec.v[:, :ncols] @ t[:ncols]
-    return x, r
+    return x, r, size
 
 
-def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
-    """Restarted FOM or GMRES down to the configured tolerance.
+def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_count: int):
+    """The restart loop shared by every solver.
 
-    The residual is recurred cheaply from the Arnoldi relation and
+    ``step(x, r, rnorm, cycle)`` runs one cycle and returns ``(x, r, size)``
+    with the achieved cycle size; it may append inner rows to
+    ``result.residual_history``. A breakdown inside a step ends the loop with
+    ``stop_reason == "breakdown"``. The residual is recurred by the steps and
     cross-checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles.
-    Stagnation or breakdown ends the loop with ``converged=False`` rather
-    than raising.
     """
-    if method not in ("fom", "gmres"):
-        raise ValueError(f"method must be 'fom' or 'gmres', got {method!r}")
-    op = as_operator(a)
-    b = check_finite("b", np.asarray(b))
-    if b.shape != (op.dimension,):
-        raise ValueError(f"rhs shape {b.shape} does not match dimension {op.dimension}")
-    if x0 is None:
-        x = np.zeros_like(b)
-    else:
-        x = check_finite("x0", np.asarray(x0)).copy()
-    start_count = op.matvec_count
-
-    if np.any(x):
-        r = b - op(x)
-    else:
-        r = b.copy()
+    r = b - op(x) if np.any(x) else b.copy()
     rnorm = float(np.linalg.norm(r))
     threshold = cfg.threshold(float(np.linalg.norm(b)))
-    history = [(0, 0, rnorm)]
-    result = SolveResult(
-        x=x,
-        residual_history=history,
-        matvec_count=0,
-        converged=rnorm <= threshold,
-        cycles_used=0,
-        setup_matvecs=op.matvec_count - start_count,
-    )
+    history = result.residual_history
+    history.append((0, 0, rnorm))
+    result.setup_matvecs = op.matvec_count - start_count
+    result.converged = rnorm <= threshold
     if result.converged:
         result.matvec_count = op.matvec_count - start_count
         return result
 
     for cycle in range(1, cfg.max_cycles + 1):
-        dec = arnoldi(op, r, cfg.cycle_length, reorth=cfg.reorth)
-        beta = rnorm
-        size = dec.j
-        y = None
-        if method == "fom":
-            # singular square Hessenberg: retry truncated; out of sizes means
-            # the cycle cannot move the iterate at all
-            while size >= 1:
-                try:
-                    y = _fom_correction(dec, beta, size)
-                    break
-                except SingularMatrixError:
-                    size -= 1
-            if y is None:
-                result.stop_reason = "stagnation"
-                break
-        else:
-            try:
-                y = _gmres_correction(dec, beta, size)
-            except RankDeficientError:
-                result.stop_reason = "breakdown"
-                break
-
-        for i, val in inner_residual_norms(dec, beta, method):
-            if i < size:
-                history.append((cycle, i, val))
-        x, r = _apply_cycle_update(x, r, dec, y, size)
+        try:
+            x, r, size = step(x, r, rnorm, cycle)
+        except (SolverBreakdownError, RankDeficientError):
+            result.stop_reason = "breakdown"
+            break
         rnorm_new = float(np.linalg.norm(r))
         history.append((cycle, size, rnorm_new))
         result.x = x
@@ -266,12 +236,11 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
                 warnings.warn(
                     f"recurred residual drifted from true residual: "
                     f"relative gap {gap:.2e} at cycle {cycle}",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
         result.cycle_matvecs.append(op.matvec_count - start_count)
         if rnorm_new <= threshold:
             result.converged = True
-            result.stop_reason = "converged"
             break
         if abs(rnorm - rnorm_new) < STAGNATION_RTOL * rnorm:
             result.stop_reason = "stagnation"
@@ -282,3 +251,36 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
 
     result.matvec_count = op.matvec_count - start_count
     return result
+
+
+def _check_inputs(a, b, x0):
+    """Operator handle, rhs and starting iterate, validated."""
+    op = as_operator(a)
+    b = check_finite("b", np.asarray(b))
+    if b.shape != (op.dimension,):
+        raise ValueError(f"rhs shape {b.shape} does not match dimension {op.dimension}")
+    if x0 is None:
+        return op, b, np.zeros_like(b)
+    return op, b, check_finite("x0", np.asarray(x0)).copy()
+
+
+def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
+    """Restarted FOM or GMRES down to the configured tolerance.
+
+    The residual is recurred cheaply from the Arnoldi relation and
+    cross-checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles.
+    Stagnation or breakdown ends the loop with ``converged=False`` rather
+    than raising.
+    """
+    if method not in ("fom", "gmres"):
+        raise ValueError(f"method must be 'fom' or 'gmres', got {method!r}")
+    op, b, x = _check_inputs(a, b, x0)
+    start_count = op.matvec_count
+    cycle_fn = fom_cycle if method == "fom" else gmres_cycle
+    result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0)
+
+    def step(x, r, rnorm, cycle):
+        y, dec = cycle_fn(op, r, cfg.cycle_length, cfg.reorth)
+        return _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, method)
+
+    return _run_cycles(op, b, x, cfg, step, result, start_count)

@@ -20,7 +20,6 @@ __all__ = [
     "RankDeficientError",
     "EigenSolveError",
     "SparseMatrix",
-    "GLOBAL_STATS",
     "spmv",
     "dense_solve",
     "dense_lstsq",
@@ -54,23 +53,6 @@ class RankDeficientError(np.linalg.LinAlgError):
 
 class EigenSolveError(np.linalg.LinAlgError):
     """The dense eigensolver failed to converge."""
-
-
-class _Stats:
-    """Process-wide matvec tally.
-
-    Per-solve attribution goes through ``OperatorHandle`` counters; this is
-    just the global odometer.
-    """
-
-    def __init__(self):
-        self.matvecs = 0
-
-    def reset(self):
-        self.matvecs = 0
-
-
-GLOBAL_STATS = _Stats()
 
 
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
@@ -173,16 +155,12 @@ class SparseMatrix:
 
 
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``a @ x`` per CSR row semantics.
-
-    Counts one matvec in :data:`GLOBAL_STATS`.
-    """
+    """Sparse matrix-vector product ``a @ x`` per CSR row semantics."""
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != a.n_cols:
         raise DimensionError(
             f"operand length {x.shape} does not match n_cols={a.n_cols}"
         )
-    GLOBAL_STATS.matvecs += 1
     return a._csr @ x
 
 

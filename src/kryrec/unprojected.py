@@ -13,7 +13,6 @@ orthonormal.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,23 +27,16 @@ from .augmented import (
     z_correction,
 )
 from .baseline import (
-    DRIFT_CHECK_EVERY,
-    DRIFT_WARN_RTOL,
-    STAGNATION_RTOL,
     SolveResult,
     SolverBreakdownError,
     SolverConfig,
-    _apply_cycle_update,
-    _fom_correction,
-    _gmres_correction,
-    inner_residual_norms,
+    _check_inputs,
+    _krylov_update,
+    _run_cycles,
+    fom_cycle,
+    gmres_cycle,
 )
-from .core import (
-    RankDeficientError,
-    SingularMatrixError,
-    check_finite,
-    dense_solve,
-)
+from .core import SingularMatrixError, dense_solve
 
 __all__ = [
     "AugmentedSolveResult",
@@ -73,15 +65,12 @@ def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth:
     """
     if aug.k > 0 and aug.choice is not Constraint.GALERKIN:
         raise ValueError("rfom requires a Galerkin-constrained augmentation space")
+    if aug.k == 0:
+        y, dec = fom_cycle(a, r0, m, reorth=reorth)
+        return y, np.zeros(0), dec, np.zeros((0, dec.j))
     op = as_operator(a)
     dec = arnoldi(op, r0, m, reorth=reorth)
     j = dec.j
-    if aug.k == 0:
-        try:
-            y = _fom_correction(dec, float(np.linalg.norm(r0)), j)
-        except SingularMatrixError as exc:
-            raise SolverBreakdownError(f"singular Hessenberg at size {j}", dec) from exc
-        return y, np.zeros(0), dec, np.zeros((0, j))
     coupling = compute_coupling(aug, dec.v, dec.hbar)
     vj = dec.basis
     r_hat = r0 - aug.c @ aug.solve_small(aug.u.conj().T @ r0)
@@ -107,12 +96,12 @@ def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reort
             "rgmres requires a minimum-residual augmentation space with "
             "orthonormal image columns"
         )
+    if aug.k == 0:
+        y, dec = gmres_cycle(a, r0, m, reorth=reorth)
+        return y, np.zeros(0), dec, np.zeros((0, dec.j))
     op = as_operator(a)
     dec = arnoldi(op, r0, m, reorth=reorth)
     j = dec.j
-    if aug.k == 0:
-        y = _gmres_correction(dec, float(np.linalg.norm(r0)), j)
-        return y, np.zeros(0), dec, np.zeros((0, j))
     ncols = dec.v.shape[1]
     hb = dec.hbar[:ncols, :]
     d = dec.v.conj().T @ aug.c  # (j+1) x k of basis/image inner products
@@ -128,12 +117,6 @@ def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reort
     coupling = compute_coupling(aug, dec.v, dec.hbar)
     z = z_correction(aug, y, r0, coupling)
     return y, z, dec, coupling
-
-
-def _cycle(method, op, aug, r, m, reorth):
-    if method == "rfom":
-        return unproj_rfom_cycle(op, aug, r, m, reorth=reorth)
-    return unproj_rgmres_cycle(op, aug, r, m, reorth=reorth)
 
 
 def unproj_solve(
@@ -156,14 +139,7 @@ def unproj_solve(
     """
     if method not in ("rfom", "rgmres"):
         raise ValueError(f"method must be 'rfom' or 'rgmres', got {method!r}")
-    op = as_operator(a)
-    b = check_finite("b", np.asarray(b))
-    if b.shape != (op.dimension,):
-        raise ValueError(f"rhs shape {b.shape} does not match dimension {op.dimension}")
-    if x0 is None:
-        x = np.zeros_like(b)
-    else:
-        x = check_finite("x0", np.asarray(x0)).copy()
+    op, b, x = _check_inputs(a, b, x0)
     start_count = op.matvec_count
 
     choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
@@ -174,80 +150,29 @@ def unproj_solve(
     else:
         aug = build_augmentation(op, u0, choice, orthonormalize_c=(method == "rgmres"))
 
-    if np.any(x):
-        r = b - op(x)
-    else:
-        r = b.copy()
-    rnorm = float(np.linalg.norm(r))
-    threshold = cfg.threshold(float(np.linalg.norm(b)))
-    history = [(0, 0, rnorm)]
+    cycle_fn = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
+    base = "fom" if method == "rfom" else "gmres"
     result = AugmentedSolveResult(
-        x=x,
-        residual_history=history,
-        matvec_count=0,
-        converged=rnorm <= threshold,
-        cycles_used=0,
-        k_used=aug.k,
-        setup_matvecs=op.matvec_count - start_count,
+        x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k
     )
-    if result.converged:
-        result.matvec_count = op.matvec_count - start_count
-        return result
 
-    for cycle in range(1, cfg.max_cycles + 1):
-        try:
-            y, z, dec, coupling = _cycle(method, op, aug, r, cfg.cycle_length, cfg.reorth)
-        except (SolverBreakdownError, RankDeficientError):
-            result.stop_reason = "breakdown"
-            break
-        j = dec.j
-        if aug.k > 0:
-            vj = dec.basis
-            ht = dec.hbar[: dec.v.shape[1], :]
-            r_mid, proj_coeff = projected_residual(aug, r)
-            x = x + vj @ y - aug.u @ (coupling @ y) + aug.u @ proj_coeff
-            r = r_mid - dec.v @ (ht @ y) + aug.c @ (coupling @ y)
-        else:
-            for i, val in inner_residual_norms(dec, rnorm, "gmres" if method == "rgmres" else "fom"):
-                history.append((cycle, i, val))
-            x, r = _apply_cycle_update(x, r, dec, y, j)
-
-        rnorm_new = float(np.linalg.norm(r))
-        history.append((cycle, j, rnorm_new))
-        result.x = x
-        result.cycles_used = cycle
-        result.z_norms.append(float(np.linalg.norm(z)))
-
-        if cycle % DRIFT_CHECK_EVERY == 0:
-            true_r = b - op(x)
-            gap = float(np.linalg.norm(r - true_r) / max(np.linalg.norm(b), 1e-300))
-            result.max_drift_gap = max(result.max_drift_gap, gap)
-            if gap > DRIFT_WARN_RTOL:
-                warnings.warn(
-                    f"recurred residual drifted from true residual: "
-                    f"relative gap {gap:.2e} at cycle {cycle}",
-                    stacklevel=2,
-                )
-        result.cycle_matvecs.append(op.matvec_count - start_count)
-        if rnorm_new <= threshold:
-            result.converged = True
-            result.stop_reason = "converged"
-            result.final_decomposition = dec
-            break
-        if abs(rnorm - rnorm_new) < STAGNATION_RTOL * rnorm:
-            result.stop_reason = "stagnation"
-            result.final_decomposition = dec
-            break
-        rnorm = rnorm_new
-        result.final_decomposition = dec
-
-        if recycler is not None and cycle < cfg.max_cycles:
-            new_aug = recycler(op, aug, dec)
+    def step(x, r, rnorm, cycle):
+        nonlocal aug
+        # the recycler sees the previous cycle's decomposition, so it runs
+        # only between cycles, never after the last one
+        if recycler is not None and cycle > 1:
+            new_aug = recycler(op, aug, result.final_decomposition)
             if new_aug is not None:
                 aug = new_aug
                 result.k_used = max(result.k_used, aug.k)
-    else:
-        result.stop_reason = "max_cycles"
+        y, z, dec, coupling = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth)
+        result.final_decomposition = dec
+        result.z_norms.append(float(np.linalg.norm(z)))
+        if aug.k == 0:
+            return _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, base)
+        r_mid, proj_coeff = projected_residual(aug, r)
+        x = x + dec.basis @ y - aug.u @ (coupling @ y) + aug.u @ proj_coeff
+        r = r_mid - dec.v @ (dec.hbar[: dec.v.shape[1], :] @ y) + aug.c @ (coupling @ y)
+        return x, r, dec.j
 
-    result.matvec_count = op.matvec_count - start_count
-    return result
+    return _run_cycles(op, b, x, cfg, step, result, start_count)

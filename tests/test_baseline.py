@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kryrec.arnoldi import as_operator
+from kryrec.arnoldi import OperatorHandle, as_operator
 from kryrec.baseline import (
     SolveResult,
     SolverConfig,
@@ -12,6 +12,7 @@ from kryrec.baseline import (
 )
 from kryrec.core import SparseMatrix
 from kryrec.io import tridiagonal_matrix
+from kryrec.unprojected import unproj_solve
 
 
 def random_spd(rng, n):
@@ -223,6 +224,27 @@ class TestRestartedSolve:
         drift_checks = cycles // 10
         assert res.matvec_count == op.matvec_count
         assert res.matvec_count == 10 * cycles + drift_checks
+
+    @pytest.mark.parametrize("solver", ["restarted_solve", "unproj_solve"])
+    def test_drift_warning_names_the_caller(self, solver):
+        # the operator shifts by 1e-3 I once the first cycle is done, so the
+        # recurred residual parts from b - A x by about 1e-3 ||x_1||
+        n, m, k = 60, 5, 3
+        ad = tridiagonal_matrix(n).to_dense()
+        switch_at = m if solver == "restarted_solve" else k + m
+        op = OperatorHandle(n, lambda v: ad @ v + (1e-3 * v if op.matvec_count > switch_at else 0.0))
+        b = np.random.default_rng(6).standard_normal(n)
+        cfg = SolverConfig(m, 1e-30, max_cycles=10, tol_mode="abs")
+        with pytest.warns(UserWarning, match="drifted") as caught:
+            if solver == "restarted_solve":
+                res = restarted_solve(op, b, None, cfg, "gmres")
+            else:
+                u = np.random.default_rng(7).standard_normal((n, k))
+                res = unproj_solve(op, b, None, u, cfg, "rfom")
+        assert res.cycles_used == 10
+        assert res.max_drift_gap > 1e-6
+        drift = [w for w in caught if "drifted" in str(w.message)]
+        assert [w.filename for w in drift] == [__file__]
 
     def test_history_rows_well_formed(self):
         a = tridiagonal_matrix(30)

@@ -64,15 +64,6 @@ class TestSparseMatrix:
         a = SparseMatrix.from_dense(np.array([[1j, 0], [0, 2]]))
         assert np.allclose(spmv(a, np.array([1.0, 1.0])), [1j, 2.0])
 
-    def test_global_matvec_counter(self):
-        from kryrec.core import GLOBAL_STATS
-
-        a = SparseMatrix.identity(2)
-        before = GLOBAL_STATS.matvecs
-        spmv(a, np.ones(2))
-        spmv(a, np.ones(2))
-        assert GLOBAL_STATS.matvecs == before + 2
-
 
 class TestDenseSolve:
     def test_identity(self):

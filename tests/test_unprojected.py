@@ -41,6 +41,15 @@ def rgmres_instance(seed, n=60, k=5, m=8):
     return a, aug, r0
 
 
+def singular_hessenberg_system():
+    a = SparseMatrix.from_dense(
+        np.array(
+            [[2.0, -1.0, 0.0, -1.0], [1.0, -0.5, 0.0, 0.0], [0.0, 1.0, 1.0, -2.0], [0.0, 0.0, 1.0, 2.0]]
+        )
+    )
+    return a, np.eye(4)[0]
+
+
 def cycle_residual(aug, dec, y, z, r0):
     """Recompute the post-cycle residual vector from its definition."""
     r = r0 - dec.v @ (dec.hbar[: dec.v.shape[1], :] @ y)
@@ -64,6 +73,16 @@ class TestRfomCycle:
         assert b.shape == (0, 6)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dec.hbar, dec_ref.hbar)
+
+    def test_k_zero_singular_hessenberg_solved_at_smaller_size(self):
+        from kryrec.augmented import AugmentationSpace
+        from kryrec.baseline import fom_cycle
+
+        a, e1 = singular_hessenberg_system()
+        y_ref, dec_ref = fom_cycle(a, e1, 2)
+        assert dec_ref.j == 2 and len(y_ref) == 1
+        y, z, dec, b = unproj_rfom_cycle(a, AugmentationSpace.empty(4), e1, 2)
+        assert np.array_equal(y, y_ref)
 
     def test_decoupled_spaces(self):
         # augmentation basis orthogonal to the whole Krylov space: the
@@ -188,6 +207,27 @@ class TestUnprojSolve:
         ha, hb = res_aug.cycle_norms, res_base.cycle_norms
         assert len(ha) == len(hb)
         assert np.max(np.abs(ha - hb) / np.maximum(ha, 1e-300)) <= 1e-12
+
+    @pytest.mark.parametrize("method,base", [("rfom", "fom"), ("rgmres", "gmres")])
+    @pytest.mark.parametrize("system", ["tridiagonal", "singular_hessenberg"])
+    def test_k_zero_equals_baseline_in_every_field(self, system, method, base):
+        if system == "tridiagonal":
+            a = tridiagonal_matrix(200)
+            b = np.random.default_rng(5).standard_normal(200)
+            b /= np.linalg.norm(b)
+            cfg = SolverConfig(20, 1e-8, max_cycles=40, tol_mode="abs")
+        else:
+            # H_2 of the first cycle is exactly singular: FOM solves at size 1
+            a, b = singular_hessenberg_system()
+            cfg = SolverConfig(2, 1e-10, max_cycles=50)
+        res_aug = unproj_solve(a, b, None, None, cfg, method)
+        res_base = restarted_solve(a, b, None, cfg, base)
+        assert np.array_equal(res_aug.x, res_base.x)
+        assert res_aug.residual_history == res_base.residual_history
+        assert res_aug.matvec_count == res_base.matvec_count
+        assert res_aug.cycle_matvecs == res_base.cycle_matvecs
+        assert res_aug.cycles_used == res_base.cycles_used
+        assert res_aug.stop_reason == res_base.stop_reason
 
     @pytest.mark.parametrize("method", ["rfom", "rgmres"])
     @pytest.mark.parametrize("seed", range(4))
