@@ -171,8 +171,6 @@ def apply_complement_projector(aug: AugmentationSpace, v: np.ndarray) -> np.ndar
     v = np.asarray(v)
     if v.shape[0] != aug.n:
         raise DimensionError(f"operand length {v.shape[0]} != {aug.n}")
-    if aug.k == 0:
-        return v.copy()
     return v - aug.c @ aug.solve_small(aug.u_tilde.conj().T @ v)
 
 
@@ -182,8 +180,6 @@ def apply_complement_projector_adjoint(aug: AugmentationSpace, v: np.ndarray) ->
     v = np.asarray(v)
     if v.shape[0] != aug.n:
         raise DimensionError(f"operand length {v.shape[0]} != {aug.n}")
-    if aug.k == 0:
-        return v.copy()
     return v - aug.u_tilde @ aug.solve_small(aug.c.conj().T @ v, adjoint=True)
 
 
@@ -197,8 +193,6 @@ def projected_residual(aug: AugmentationSpace, r0: np.ndarray):
     r0 = np.asarray(r0)
     if r0.shape[0] != aug.n:
         raise DimensionError(f"residual length {r0.shape[0]} != {aug.n}")
-    if aug.k == 0:
-        return r0.copy(), np.zeros(0, dtype=r0.dtype)
     z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
     return r0 - aug.c @ z0, z0
 
@@ -252,8 +246,6 @@ def compute_coupling(aug: AugmentationSpace, v: np.ndarray, hbar: np.ndarray) ->
     hbar = np.asarray(hbar)
     if v.shape[0] != aug.n:
         raise DimensionError(f"basis length {v.shape[0]} != {aug.n}")
-    if aug.k == 0:
-        return np.zeros((0, hbar.shape[1]), dtype=hbar.dtype)
     ncols = min(v.shape[1], hbar.shape[0])
     uv = aug.u_tilde.conj().T @ v[:, :ncols]
     return aug.solve_small(uv @ hbar[:ncols, :])
@@ -264,8 +256,6 @@ def z_correction(
 ) -> np.ndarray:
     """Augmentation coefficients recovered from the Krylov correction:
     ``z = (small)^{-1} u_tilde* r0 - B y``."""
-    if aug.k == 0:
-        return np.zeros(0, dtype=np.asarray(r0).dtype)
     if np.asarray(y).shape[0] != np.asarray(b).shape[1]:
         raise DimensionError("coupling matrix and y disagree on j")
     return aug.solve_small(aug.u_tilde.conj().T @ r0) - b @ y
@@ -281,9 +271,6 @@ def projected_arnoldi(a, aug: AugmentationSpace, r_hat: np.ndarray, m: int, reor
     Returns ``(dec, B)``.
     """
     op = as_operator(a)
-    if aug.k == 0:
-        dec = arnoldi(op, r_hat, m, reorth=reorth)
-        return dec, np.zeros((0, dec.j))
     coeffs = []
 
     def apply(x):

@@ -20,6 +20,7 @@ import numpy as np
 from .arnoldi import as_operator
 from .augmented import Constraint
 from .baseline import SolverConfig, restarted_solve
+from .core import check_finite
 from .io import (
     ConvergenceRecord,
     ProblemFamily,
@@ -62,7 +63,7 @@ def _add_common(p: _Parser):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--reorth", choices=("on", "off"), default="on")
     p.add_argument("--ritz-select", choices=("mag", "real"), default="mag")
-    p.add_argument("--refresh", choices=("system", "cycle", "frozen"), default="system")
+    p.add_argument("--refresh", choices=("system", "cycle"), default="system")
     p.add_argument("--timing", action="store_true", help="record real wall times (breaks byte determinism)")
 
 
@@ -109,7 +110,7 @@ def _make_rhs(spec: str | None, n: int, seed: int) -> np.ndarray:
         path = spec[len("file:") :]
         with open(path, "r", encoding="ascii") as fh:
             vals = [complex(tok) for tok in fh.read().split()]
-        b = np.array(vals)
+        b = check_finite("--rhs file", np.array(vals))
         return b.real if np.all(b.imag == 0) else b
     raise ValueError(f"bad --rhs spec {spec!r}")
 
@@ -149,19 +150,7 @@ def _records_from_result(res, solver, label, offset, wall) -> list:
     return rows
 
 
-def _run_method(method: str, family: ProblemFamily, args):
-    cfg = SolverConfig(
-        cycle_length=args.cycle_length,
-        tol=args.tol,
-        max_cycles=args.max_cycles,
-        reorth=args.reorth == "on",
-        tol_mode=args.tol_mode,
-    )
-    rspec = RecycleSpec(
-        k=args.recycle_dim,
-        selection=Selection.SMALLEST_MAGNITUDE if args.ritz_select == "mag" else Selection.SMALLEST_REAL,
-        refresh_policy=RefreshPolicy(args.refresh),
-    )
+def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: RecycleSpec, timing: bool):
     choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
     ortho = method == "rgmres"
 
@@ -186,7 +175,7 @@ def _run_method(method: str, family: ProblemFamily, args):
                 recycler = per_cycle_recycler(rspec, choice, ortho)
             res = unproj_solve(op, b, None, aug, cfg, method, recycler=recycler)
             last_dec = res.final_decomposition
-        wall = (time.perf_counter() - t0) * 1e3 if args.timing else 0.0
+        wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
         # Matvecs spent before the solve loop started (cross-system refresh).
         offset = op.matvec_count - res.matvec_count
         records.extend(_records_from_result(res, method, label, offset, wall))
@@ -211,6 +200,18 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        cfg = SolverConfig(
+            cycle_length=args.cycle_length,
+            tol=args.tol,
+            max_cycles=args.max_cycles,
+            reorth=args.reorth == "on",
+            tol_mode=args.tol_mode,
+        )
+        rspec = RecycleSpec(
+            k=args.recycle_dim,
+            selection=Selection.SMALLEST_MAGNITUDE if args.ritz_select == "mag" else Selection.SMALLEST_REAL,
+            refresh_policy=RefreshPolicy(args.refresh),
+        )
         family = _load_family(args)
         if args.command == "solve":
             methods = [args.method]
@@ -229,7 +230,7 @@ def cli_main(argv=None) -> int:
     any_failed = False
     try:
         for method in methods:
-            records, summary = _run_method(method, family, args)
+            records, summary = _run_method(method, family, cfg, rspec, args.timing)
             all_summaries.extend(summary)
             any_failed |= any(not ok for *_, ok in summary)
             if args.command == "solve":

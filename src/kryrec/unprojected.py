@@ -55,27 +55,34 @@ class AugmentedSolveResult(SolveResult):
     final_decomposition: object = None
 
 
-def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
-    """One augmented FOM cycle on the plain-operator Krylov space.
+def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool, method: str):
+    """The cycle shared by ``rfom`` and ``rgmres``.
 
-    Builds the Krylov basis from the unprojected residual, then solves the
-    reduced j x j system whose left side couples the Hessenberg with the
-    augmentation image and whose right side is the projected residual tested
-    against the basis. Returns ``(y, z, dec, coupling)``.
+    Arnoldi on the plain operator, then one reduced j x j system for the
+    Krylov coefficients ``y``, then the augmentation coefficients ``z`` from
+    ``y``. The two methods differ only in that system: the Galerkin one is
+    ``(H - V_j* C B) y = V_j* r_hat``; the minimum-residual one is the
+    normal equations of ``min || r_hat - (I - C C*) V_{j+1} Hbar y ||``
+    (``C`` orthonormal). Applying ``x += V_j y + U z`` and
+    ``r -= V_{j+1} Hbar y + C z`` completes the cycle.
     """
-    if aug.k > 0 and aug.choice is not Constraint.GALERKIN:
-        raise ValueError("rfom requires a Galerkin-constrained augmentation space")
     if aug.k == 0:
-        y, dec = fom_cycle(a, r0, m, reorth=reorth)
+        y, dec = (fom_cycle if method == "rfom" else gmres_cycle)(a, r0, m, reorth=reorth)
         return y, np.zeros(0), dec, np.zeros((0, dec.j))
-    op = as_operator(a)
-    dec = arnoldi(op, r0, m, reorth=reorth)
+    dec = arnoldi(as_operator(a), r0, m, reorth=reorth)
     j = dec.j
     coupling = compute_coupling(aug, dec.v, dec.hbar)
-    vj = dec.basis
-    r_hat = r0 - aug.c @ aug.solve_small(aug.u.conj().T @ r0)
-    lhs = dec.h - (vj.conj().T @ aug.c) @ coupling
-    rhs = vj.conj().T @ r_hat
+    r_hat, _ = projected_residual(aug, r0)
+    vr = dec.v.conj().T @ r_hat
+    d = dec.v.conj().T @ aug.c  # basis/image inner products
+    if method == "rfom":
+        lhs = dec.h - d[:j] @ coupling
+        rhs = vr[:j]
+    else:
+        hb = dec.hbar[: dec.v.shape[1], :]
+        hd = hb.conj().T @ d
+        lhs = hb.conj().T @ hb - hd @ hd.conj().T
+        rhs = hb.conj().T @ vr
     try:
         y = dense_solve(lhs, rhs)
     except SingularMatrixError as exc:
@@ -84,39 +91,24 @@ def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth:
     return y, z, dec, coupling
 
 
-def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
-    """One augmented GMRES cycle on the plain-operator Krylov space.
+def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
+    """One augmented FOM cycle on the plain-operator Krylov space (Galerkin
+    constraint). Returns ``(y, z, dec, coupling)``."""
+    if aug.k > 0 and aug.choice is not Constraint.GALERKIN:
+        raise ValueError("rfom requires a Galerkin-constrained augmentation space")
+    return _augmented_cycle(a, aug, r0, m, reorth, "rfom")
 
-    Solves the normal-equations form of the residual minimization over the
-    sum of the Krylov space and the augmentation space; requires orthonormal
-    image columns. Returns ``(y, z, dec, coupling)``.
-    """
+
+def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
+    """One augmented GMRES cycle on the plain-operator Krylov space (minimum
+    residual over the Krylov plus augmentation space); requires orthonormal
+    image columns. Returns ``(y, z, dec, coupling)``."""
     if aug.k > 0 and not (aug.choice is Constraint.MINRES and aug.c_orthonormal):
         raise ValueError(
             "rgmres requires a minimum-residual augmentation space with "
             "orthonormal image columns"
         )
-    if aug.k == 0:
-        y, dec = gmres_cycle(a, r0, m, reorth=reorth)
-        return y, np.zeros(0), dec, np.zeros((0, dec.j))
-    op = as_operator(a)
-    dec = arnoldi(op, r0, m, reorth=reorth)
-    j = dec.j
-    ncols = dec.v.shape[1]
-    hb = dec.hbar[:ncols, :]
-    d = dec.v.conj().T @ aug.c  # (j+1) x k of basis/image inner products
-    hd = hb.conj().T @ d
-    lhs = hb.conj().T @ hb - hd @ hd.conj().T
-    rhs = hb.conj().T @ (dec.v.conj().T @ r0 - d @ (aug.c.conj().T @ r0))
-    try:
-        y = dense_solve(lhs, rhs)
-    except SingularMatrixError as exc:
-        raise SolverBreakdownError(
-            f"singular reduced normal-equations system at size {j}", dec
-        ) from exc
-    coupling = compute_coupling(aug, dec.v, dec.hbar)
-    z = z_correction(aug, y, r0, coupling)
-    return y, z, dec, coupling
+    return _augmented_cycle(a, aug, r0, m, reorth, "rgmres")
 
 
 def unproj_solve(
@@ -132,10 +124,10 @@ def unproj_solve(
 
     ``u0`` seeds the augmentation space (``None`` or zero columns degenerates
     to the plain restarted method). After each cycle the iterate gains the
-    Krylov correction and the augmentation correction, and the residual is
-    updated in the same two stages (project, then subtract both images). An
-    optional ``recycler(op, aug, dec)`` callback may replace the augmentation
-    space between cycles; it returns the new space or ``None`` to keep it.
+    cycle's Krylov and augmentation corrections and the residual loses both
+    of their images. An optional ``recycler(op, aug, dec)`` callback may
+    replace the augmentation space between cycles; it returns the new space
+    or ``None`` to keep it.
     """
     if method not in ("rfom", "rgmres"):
         raise ValueError(f"method must be 'rfom' or 'rgmres', got {method!r}")
@@ -165,14 +157,13 @@ def unproj_solve(
             if new_aug is not None:
                 aug = new_aug
                 result.k_used = max(result.k_used, aug.k)
-        y, z, dec, coupling = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth)
+        y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth)
         result.final_decomposition = dec
         result.z_norms.append(float(np.linalg.norm(z)))
         if aug.k == 0:
             return _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, base)
-        r_mid, proj_coeff = projected_residual(aug, r)
-        x = x + dec.basis @ y - aug.u @ (coupling @ y) + aug.u @ proj_coeff
-        r = r_mid - dec.v @ (dec.hbar[: dec.v.shape[1], :] @ y) + aug.c @ (coupling @ y)
+        x = x + dec.basis @ y + aug.u @ z
+        r = r - dec.v @ (dec.hbar[: dec.v.shape[1], :] @ y) - aug.c @ z
         return x, r, dec.j
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

@@ -127,9 +127,22 @@ class TestComplementProjector:
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
     def test_empty_space_is_identity(self):
-        aug = AugmentationSpace.empty(7)
-        v = np.arange(7.0)
-        assert np.array_equal(apply_complement_projector(aug, v), v)
+        rng = np.random.default_rng(0)
+        n, j = 7, 3
+        for choice in Constraint:
+            for complex_values in (False, True):
+                aug = AugmentationSpace.empty(n, choice)
+                v = np.arange(n) - 3.0 + (1j * np.arange(n) if complex_values else 0)
+                for apply in (apply_complement_projector, apply_complement_projector_adjoint):
+                    w = apply(aug, v)
+                    assert np.array_equal(w, v) and w is not v
+                r_hat, z0 = projected_residual(aug, v)
+                assert np.array_equal(r_hat, v) and r_hat is not v and r_hat.dtype == v.dtype
+                assert z0.shape == (0,) and z0.dtype == v.dtype
+                dec = arnoldi(well_conditioned(rng, n, complex_values), v, j)
+                b = compute_coupling(aug, dec.v, dec.hbar)
+                assert b.shape == (0, j) and b.dtype == dec.hbar.dtype
+                assert np.array_equal(z_correction(aug, np.ones(j), v, b), np.zeros(0))
 
 
 class TestProjectedResidual:
@@ -294,7 +307,8 @@ class TestProjectedArnoldi:
         dec_p, b = projected_arnoldi(a, aug, r, 6)
         dec = arnoldi(a, r, 6)
         assert b.shape == (0, 6)
-        assert np.allclose(dec_p.hbar, dec.hbar)
+        assert np.array_equal(dec_p.hbar, dec.hbar)
+        assert np.array_equal(dec_p.v, dec.v)
 
     def test_projected_start_vector_in_image_rejected(self):
         from kryrec.arnoldi import ArnoldiBreakdownError

@@ -53,6 +53,26 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--family", "tridiag:n=10", "--method", "gmres", "-m", "0"],
+            ["solve", "--family", "tridiag:n=10", "--method", "gmres", "--tol", "0"],
+            ["solve", "--family", "tridiag:n=10", "--method", "gmres", "--max-cycles", "0"],
+            ["compare", "--family", "tridiag:n=10", "--methods", "fom,rfom", "-k", "-1"],
+            ["solve", "--family", "tridiag:n=10", "--method", "gmres", "--rhs", "file:{nan_rhs}"],
+            ["compare", "--family", "tridiag:n=10", "--methods", "rfom", "--refresh", "frozen", "-k", "2"],
+        ],
+        ids=["m0", "tol0", "max_cycles0", "k_negative", "rhs_nan", "refresh_frozen"],
+    )
+    def test_bad_config_exits_1_with_message(self, argv, tmp_path, capsys):
+        nan_rhs = tmp_path / "b.txt"
+        nan_rhs.write_text("1.0 nan" + " 1.0" * 8)
+        argv = [a.format(nan_rhs=nan_rhs) for a in argv] + ["--out", str(tmp_path / "h_")]
+        assert run(argv) == 1
+        assert "error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("h_*"))
+
     def test_rhs_ones(self, identity_mtx, tmp_path):
         out = tmp_path / "h.csv"
         code = run(

@@ -230,13 +230,17 @@ class TestUnprojSolve:
         assert res_aug.stop_reason == res_base.stop_reason
 
     @pytest.mark.parametrize("method", ["rfom", "rgmres"])
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, "complex"])
     def test_update_consistency_every_cycle(self, method, seed):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed if seed != "complex" else 4)
         n, k = 70, 4
         a = well_conditioned(rng, n)
         u = rng.standard_normal((n, k))
         b = rng.standard_normal(n)
+        if seed == "complex":
+            cplx = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a = SparseMatrix.from_dense(cplx((n, n)) / np.sqrt(2 * n) + 2 * np.eye(n))
+            u, b = cplx((n, k)), cplx(n)
         ad = a.to_dense()
 
         recorded = []
@@ -249,6 +253,7 @@ class TestUnprojSolve:
         cfg = SolverConfig(6, 1e-9, max_cycles=30)
         res = unproj_solve(a, b, None, u, cfg, method, recycler=Spy())
         assert res.converged
+        assert res.x.dtype == (np.complex128 if seed == "complex" else np.float64)
         true_r = b - ad @ res.x
         assert (
             abs(np.linalg.norm(true_r) - res.final_residual_norm)
