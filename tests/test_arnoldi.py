@@ -59,6 +59,31 @@ def test_orthonormality_without_reorth(seed):
     assert np.max(np.abs(gram - np.eye(dec.v.shape[1]))) <= 1e-8
 
 
+def near_grade_operator(rng, complex_):
+    """n=400 normal operator with 8 eigenvalue clusters of width 1e-4 down to
+    1e-10: after about 8 steps each new Krylov vector is nearly in the span
+    of the previous ones, where a single Gram-Schmidt pass loses
+    orthogonality."""
+    n, clusters = 400, 8
+    widths = np.logspace(-4, -10, clusters)
+    centres = np.arange(1, clusters + 1) * (np.exp(0.25j * np.arange(clusters)) if complex_ else 1.0)
+    lam = np.concatenate([c + w * np.linspace(0.0, 1.0, n // clusters) for c, w in zip(centres, widths)])
+    g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
+    q, _ = np.linalg.qr(g)
+    r = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ else 0.0)
+    return (q * lam) @ q.conj().T, r
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_near_grade_spectrum_keeps_orthogonality(complex_):
+    a, r = near_grade_operator(np.random.default_rng(0), complex_)
+    dec = arnoldi(a, r, 40, reorth=True)
+    assert dec.j == 40
+    gram = dec.v.conj().T @ dec.v
+    assert np.max(np.abs(gram - np.eye(dec.v.shape[1]))) <= 1e-12
+    assert arnoldi_relation_residual(dec, a) <= 1e-12 * np.linalg.norm(a)
+
+
 def test_grade_detection_on_constructed_operator():
     # minimal polynomial degree 3 w.r.t. a vector touching 3 eigenspaces
     a = SparseMatrix.diagonal([1.0, 2.0, 3.0, 3.0])
