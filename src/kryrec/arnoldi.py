@@ -94,9 +94,10 @@ class ArnoldiDecomposition:
 def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposition:
     """Run up to ``m`` Arnoldi steps of ``op`` started from ``r``.
 
-    Modified Gram-Schmidt with an optional (default on) second
-    orthogonalization pass. Stops early with the breakdown flag set when the
-    next subdiagonal entry vanishes relative to the operator scale.
+    Classical Gram-Schmidt over a row-major basis, applied twice by default
+    (CGS2): each pass is two matrix-vector products against all rows built
+    so far. Stops early with the breakdown flag set when the next
+    subdiagonal entry vanishes relative to the operator scale.
 
     Parameters
     ----------
@@ -106,7 +107,8 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposit
     m : int
         Maximum number of steps, at least 1.
     reorth : bool
-        Re-orthogonalize each new vector once more against the basis.
+        Run the second Gram-Schmidt pass; without it a single classical pass
+        loses orthogonality on nearly dependent Krylov vectors.
     """
     op = as_operator(op)
     r = check_finite("start vector", np.asarray(r))
@@ -123,39 +125,36 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposit
     n = op.dimension
     w0 = op(r / beta)
     dtype = np.result_type(r.dtype, w0.dtype, np.float64)
-    v = np.zeros((n, m + 1), dtype=dtype)
+    vt = np.zeros((m + 1, n), dtype=dtype)  # one basis vector per row
     hbar = np.zeros((m + 1, m), dtype=dtype)
-    v[:, 0] = r / beta
+    vt[0] = r / beta
     scale = np.linalg.norm(w0)
     if scale == 0.0:
         scale = 1.0
 
+    # w is updated in place, so it must never alias the operator's output
     w = w0.astype(dtype, copy=True)
     for j in range(m):
         if j > 0:
-            w = op(v[:, j]).astype(dtype, copy=False)
-        for i in range(j + 1):
-            hij = np.vdot(v[:, i], w)
-            hbar[i, j] += hij
-            w = w - hij * v[:, i]
-        if reorth:
-            for i in range(j + 1):
-                c = np.vdot(v[:, i], w)
-                hbar[i, j] += c
-                w = w - c * v[:, i]
+            w = op(vt[j]).astype(dtype, copy=True)
+        basis = vt[: j + 1]
+        for _ in range(2 if reorth else 1):
+            h = (basis @ w.conj()).conj()
+            hbar[: j + 1, j] += h
+            w -= h @ basis
         hnext = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * scale:
             steps = j + 1
             hbar[steps, steps - 1] = 0.0
             return ArnoldiDecomposition(
-                v=v[:, :steps].copy(),
+                v=vt[:steps].copy().T,
                 hbar=hbar[: steps + 1, :steps].copy(),
                 j=steps,
                 breakdown=steps,
             )
         hbar[j + 1, j] = hnext
-        v[:, j + 1] = w / hnext
-    return ArnoldiDecomposition(v=v, hbar=hbar, j=m)
+        vt[j + 1] = w / hnext
+    return ArnoldiDecomposition(v=vt.T, hbar=hbar, j=m)
 
 
 def arnoldi_relation_residual(dec: ArnoldiDecomposition, op) -> float:

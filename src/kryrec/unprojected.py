@@ -24,7 +24,6 @@ from .augmented import (
     build_augmentation,
     compute_coupling,
     projected_residual,
-    z_correction,
 )
 from .baseline import (
     SolveResult,
@@ -59,12 +58,14 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
     """The cycle shared by ``rfom`` and ``rgmres``.
 
     Arnoldi on the plain operator, then one reduced j x j system for the
-    Krylov coefficients ``y``, then the augmentation coefficients ``z`` from
-    ``y``. The two methods differ only in that system: the Galerkin one is
-    ``(H - V_j* C B) y = V_j* r_hat``; the minimum-residual one is the
-    normal equations of ``min || r_hat - (I - C C*) V_{j+1} Hbar y ||``
-    (``C`` orthonormal). Applying ``x += V_j y + U z`` and
-    ``r -= V_{j+1} Hbar y + C z`` completes the cycle.
+    Krylov coefficients ``y``, then the augmentation coefficients
+    ``z = z0 - B y``, with ``z0`` from ``projected_residual`` (the same bits
+    as ``z_correction``). The two methods differ only in that system: the
+    Galerkin one is ``(H - V_j* C B) y = V_j* r_hat``; the minimum-residual
+    one is the normal equations of
+    ``min || r_hat - (I - C C*) V_{j+1} Hbar y ||`` (``C`` orthonormal).
+    Applying ``x += V_j y + U z`` and ``r -= V_{j+1} Hbar y + C z``
+    completes the cycle.
     """
     if aug.k == 0:
         y, dec = (fom_cycle if method == "rfom" else gmres_cycle)(a, r0, m, reorth=reorth)
@@ -72,7 +73,7 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
     dec = arnoldi(as_operator(a), r0, m, reorth=reorth)
     j = dec.j
     coupling = compute_coupling(aug, dec.v, dec.hbar)
-    r_hat, _ = projected_residual(aug, r0)
+    r_hat, z0 = projected_residual(aug, r0)
     vr = dec.v.conj().T @ r_hat
     d = dec.v.conj().T @ aug.c  # basis/image inner products
     if method == "rfom":
@@ -87,7 +88,7 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
         y = dense_solve(lhs, rhs)
     except SingularMatrixError as exc:
         raise SolverBreakdownError(f"singular reduced system at size {j}", dec) from exc
-    z = z_correction(aug, y, r0, coupling)
+    z = z0 - coupling @ y
     return y, z, dec, coupling
 
 

@@ -84,6 +84,40 @@ def test_near_grade_spectrum_keeps_orthogonality(complex_):
     assert arnoldi_relation_residual(dec, a) <= 1e-12 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["reused-buffer", "input-view"])
+def test_operator_output_aliasing_is_harmless(kind, complex_):
+    # the new vector is updated in place: neither a buffer the operator hands
+    # back on every call nor a view of the basis row it was given may be
+    # written through
+    rng = np.random.default_rng(6)
+    n = 50
+    dense = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
+    r = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ else 0.0)
+    if kind == "reused-buffer":
+        buf = np.empty(n, dtype=dense.dtype)
+
+        def aliased(v):
+            buf[:] = dense @ v
+            return buf
+
+        def fresh(v):
+            return dense @ v
+
+    else:
+
+        def aliased(v):
+            return v[::-1]
+
+        def fresh(v):
+            return v[::-1].copy()
+
+    dec = arnoldi(OperatorHandle(n, aliased), r, 20)
+    ref = arnoldi(OperatorHandle(n, fresh), r, 20)
+    assert np.array_equal(dec.v, ref.v)
+    assert np.array_equal(dec.hbar, ref.hbar)
+
+
 def test_grade_detection_on_constructed_operator():
     # minimal polynomial degree 3 w.r.t. a vector touching 3 eigenspaces
     a = SparseMatrix.diagonal([1.0, 2.0, 3.0, 3.0])

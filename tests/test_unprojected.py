@@ -7,6 +7,7 @@ from kryrec.augmented import (
     assemble_block_system,
     build_augmentation,
     solve_block_coupled,
+    z_correction,
 )
 from kryrec.baseline import SolverConfig, gmres_cycle, restarted_solve
 from kryrec.core import SparseMatrix
@@ -182,6 +183,30 @@ class TestRgmresCycle:
         y_g, dec_g = gmres_cycle(a, r0, 8)
         r_gmres = np.linalg.norm(r0 - dec_g.v @ (dec_g.hbar @ y_g))
         assert r_new <= r_gmres + 1e-10
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("method", ["rfom", "rgmres"])
+def test_cycle_z_is_the_z_correction_oracle(method, dtype):
+    # the cycle forms z from projected_residual's z0; it must stay the same
+    # bits as z_correction, which the block-decoupling oracle tests use
+    rng = np.random.default_rng(4)
+    n, k = 60, 5
+    dense = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
+    u = rng.standard_normal((n, k))
+    r0 = rng.standard_normal(n)
+    if dtype is complex:
+        dense = dense + 1j * rng.standard_normal((n, n)) / np.sqrt(n)
+        u = u + 1j * rng.standard_normal((n, k))
+        r0 = r0 + 1j * rng.standard_normal(n)
+    a = SparseMatrix.from_dense(dense)
+    if method == "rfom":
+        aug = build_augmentation(a, u, Constraint.GALERKIN)
+        y, z, dec, b = unproj_rfom_cycle(a, aug, r0, 8)
+    else:
+        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+        y, z, dec, b = unproj_rgmres_cycle(a, aug, r0, 8)
+    assert np.array_equal(z, z_correction(aug, y, r0, b))
 
 
 class TestUnprojSolve:
