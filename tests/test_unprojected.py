@@ -351,3 +351,32 @@ class TestUnprojSolve:
         seeded = unproj_solve(a, b, None, u, cfg, "rfom")
         assert plain.converged and seeded.converged
         assert seeded.cycles_used < plain.cycles_used
+
+
+class TestDegenerateAugmentation:
+    """rgmres with augmentation spaces that overlap the Krylov space."""
+
+    def test_image_containing_the_residual_converges_in_one_cycle(self):
+        rng = np.random.default_rng(11)
+        n = 60
+        a = well_conditioned(rng, n)
+        b = rng.standard_normal(n)
+        u = np.linalg.solve(a.to_dense(), b)[:, None]  # A u = r0
+        cfg = SolverConfig(8, 1e-10, max_cycles=20)
+        res = unproj_solve(a, b, None, u, cfg, "rgmres")
+        assert res.converged and res.cycles_used == 1
+        assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-9 * np.linalg.norm(b)
+
+    def test_image_inside_the_krylov_image_stops_with_a_typed_outcome(self):
+        from kryrec.arnoldi import arnoldi
+
+        rng = np.random.default_rng(12)
+        n = 60
+        a = well_conditioned(rng, n)
+        b = rng.standard_normal(n)
+        u = arnoldi(a, b, 8).v[:, :2]  # A u lies in span V_3
+        cfg = SolverConfig(8, 1e-10, max_cycles=20)
+        res = unproj_solve(a, b, None, u, cfg, "rgmres")
+        assert res.converged or res.stop_reason == "breakdown"
+        if res.converged:
+            assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-9 * np.linalg.norm(b)
