@@ -111,16 +111,17 @@ class SolveResult:
         return self.residual_history[-1][2]
 
 
-def _fom_correction(dec: ArnoldiDecomposition, beta: float, size: int) -> np.ndarray:
-    rhs = np.zeros(size, dtype=dec.hbar.dtype)
-    rhs[0] = beta
-    return dense_solve(dec.hbar[:size, :size], rhs)
-
-
-def _gmres_correction(dec: ArnoldiDecomposition, beta: float, size: int) -> np.ndarray:
-    rhs = np.zeros(size + 1, dtype=dec.hbar.dtype)
-    rhs[0] = beta
-    return dense_lstsq(dec.hbar[: size + 1, :size], rhs)
+def _leading_solve(lhs: np.ndarray, rhs: np.ndarray, dec: ArnoldiDecomposition) -> np.ndarray:
+    """Solve ``lhs[:i, :i] y = rhs[:i]`` at the largest leading size ``i``
+    whose block is nonsingular, so ``len(y)`` may fall short of
+    ``len(lhs)``. Raises :class:`SolverBreakdownError` carrying ``dec`` when
+    no size is nonsingular."""
+    for size in range(lhs.shape[0], 0, -1):
+        try:
+            return dense_solve(lhs[:size, :size], rhs[:size])
+        except SingularMatrixError:
+            pass
+    raise SolverBreakdownError(f"singular reduced system at every size up to {dec.j}", dec)
 
 
 def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
@@ -134,13 +135,9 @@ def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
     """
     op = as_operator(a)
     dec = arnoldi(op, r, m, reorth=reorth)
-    beta = float(np.linalg.norm(r))
-    for size in range(dec.j, 0, -1):
-        try:
-            return _fom_correction(dec, beta, size), dec
-        except SingularMatrixError:
-            pass
-    raise SolverBreakdownError(f"singular Hessenberg at every size up to {dec.j}", dec)
+    rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
+    rhs[0] = np.linalg.norm(r)
+    return _leading_solve(dec.h, rhs, dec), dec
 
 
 def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
@@ -150,9 +147,9 @@ def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
     """
     op = as_operator(a)
     dec = arnoldi(op, r, m, reorth=reorth)
-    beta = float(np.linalg.norm(r))
-    y = _gmres_correction(dec, beta, dec.j)
-    return y, dec
+    rhs = np.zeros(dec.j + 1, dtype=dec.hbar.dtype)
+    rhs[0] = np.linalg.norm(r)
+    return dense_lstsq(dec.hbar, rhs), dec
 
 
 def inner_residual_norms(dec: ArnoldiDecomposition, beta: float, method: str):
@@ -164,32 +161,33 @@ def inner_residual_norms(dec: ArnoldiDecomposition, beta: float, method: str):
     """
     out = []
     for i in range(1, dec.j):
+        rhs = np.zeros(i + 1, dtype=dec.hbar.dtype)
+        rhs[0] = beta
         try:
-            yi = (_gmres_correction if method == "gmres" else _fom_correction)(
-                dec, beta, i
-            )
+            if method == "gmres":
+                yi = dense_lstsq(dec.hbar[: i + 1, :i], rhs)
+                val = float(np.linalg.norm(rhs - dec.hbar[: i + 1, :i] @ yi))
+            else:
+                yi = dense_solve(dec.hbar[:i, :i], rhs[:i])
+                val = float(abs(dec.hbar[i, i - 1] * yi[-1]))
         except (SingularMatrixError, RankDeficientError):
             continue
-        if method == "gmres":
-            rhs = np.zeros(i + 1, dtype=dec.hbar.dtype)
-            rhs[0] = beta
-            val = float(np.linalg.norm(rhs - dec.hbar[: i + 1, :i] @ yi))
-        else:
-            val = float(abs(dec.hbar[i, i - 1] * yi[-1]))
         out.append((i, val))
     return out
 
 
 def _krylov_update(history, cycle, x, r, rnorm, dec, y, method):
-    """Record the inner norms of a FOM/GMRES cycle, then update
-    ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y`` at the size ``i = len(y)``.
+    """Record the inner norms of a FOM/GMRES cycle (none when ``method`` is
+    ``None``), then update ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y`` at
+    the size ``i = len(y)``.
 
     Returns ``(x, r, i)``.
     """
     size = len(y)
-    for i, val in inner_residual_norms(dec, rnorm, method):
-        if i < size:
-            history.append((cycle, i, val))
+    if method is not None:
+        for i, val in inner_residual_norms(dec, rnorm, method):
+            if i < size:
+                history.append((cycle, i, val))
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
     ncols = min(size + 1, dec.v.shape[1])

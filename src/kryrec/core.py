@@ -208,7 +208,7 @@ def dense_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(m, mode="reduced")
     diag = np.abs(np.diag(r))
     scale = np.linalg.norm(m)
-    if np.any(diag < PIVOT_RTOL * scale):
+    if scale == 0.0 or np.any(diag < PIVOT_RTOL * scale):
         raise RankDeficientError(
             f"rank-deficient least-squares matrix {m.shape}: "
             f"min |R_ii| = {diag.min():.3e}"

@@ -39,7 +39,6 @@ class Selection(Enum):
 class RefreshPolicy(Enum):
     PER_SYSTEM = "system"
     PER_CYCLE = "cycle"
-    FROZEN = "frozen"
 
 
 @dataclass
@@ -130,13 +129,12 @@ def refresh(
 ) -> AugmentationSpace | None:
     """Rebuild the augmentation space from the latest decomposition.
 
-    FROZEN returns ``old_aug`` untouched (zero matvecs). Otherwise fresh Ritz
-    vectors are extracted, dependent columns dropped, and the image recomputed
-    against ``a`` (k matvecs), so recycling across a family always validates
-    the image identity against the current operator.
+    Without a decomposition ``old_aug`` is returned untouched (zero
+    matvecs). Otherwise fresh Ritz vectors are extracted, dependent columns
+    dropped, and the image recomputed against ``a`` (k matvecs), so recycling
+    across a family always validates the image identity against the current
+    operator.
     """
-    if spec.refresh_policy is RefreshPolicy.FROZEN:
-        return old_aug
     if dec is None:
         return old_aug
     op = as_operator(a)

@@ -2,8 +2,10 @@
 
 Both methods grow the Krylov space with the plain operator (no projector
 inside the Arnoldi loop) and fold the augmentation space in afterwards: a
-reduced j x j (or normal-equations) system gives the Krylov correction, a
-small coupling solve gives the augmentation correction.
+small system read off the Arnoldi relation (square for ``rfom``, least
+squares for ``rgmres``) gives the Krylov correction, and the coupling matrix
+turns it into the augmentation correction. With an empty augmentation space
+the cycles are FOM and GMRES in the same floating-point operations.
 
 ``rfom`` imposes a Galerkin constraint against the Krylov space and the
 augmentation basis; ``rgmres`` minimizes the residual over the sum of the
@@ -27,15 +29,13 @@ from .augmented import (
 )
 from .baseline import (
     SolveResult,
-    SolverBreakdownError,
     SolverConfig,
     _check_inputs,
     _krylov_update,
+    _leading_solve,
     _run_cycles,
-    fom_cycle,
-    gmres_cycle,
 )
-from .core import SingularMatrixError, dense_solve
+from .core import dense_lstsq
 
 __all__ = [
     "AugmentedSolveResult",
@@ -57,39 +57,35 @@ class AugmentedSolveResult(SolveResult):
 def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool, method: str):
     """The cycle shared by ``rfom`` and ``rgmres``.
 
-    Arnoldi on the plain operator, then one reduced j x j system for the
-    Krylov coefficients ``y``, then the augmentation coefficients
-    ``z = z0 - B y``, with ``z0`` from ``projected_residual`` (the same bits
-    as ``z_correction``). The two methods differ only in that system: the
-    Galerkin one is ``(H - V_j* C B) y = V_j* r_hat``; the minimum-residual
-    one is the normal equations of
-    ``min || r_hat - (I - C C*) V_{j+1} Hbar y ||`` (``C`` orthonormal).
-    Applying ``x += V_j y + U z`` and ``r -= V_{j+1} Hbar y + C z``
-    completes the cycle.
+    Every reduced quantity is read off the unprojected Arnoldi relation
+    ``r0 = ||r0|| V_{j+1} e_1``, ``A [V_j U] = [V_{j+1} C] blkdiag(Hbar, I)``,
+    with ``D = V_{j+1}* C``; the corrections are ``V_i y`` and ``U z`` with
+    ``z = z0 - B_i y``. ``rfom`` solves ``(H - D_j B) y = ||r0|| e_1 - D_j z0``
+    at the largest nonsingular leading size ``i``; ``rgmres`` takes ``y`` from
+    the least-squares problem ``[[Hbar, D], [0, T]] [y; z] ~ ||r0|| e_1`` with
+    ``T* T = C* C - D* D``. With ``k = 0`` both are FOM/GMRES in the same
+    floating-point operations.
     """
-    if aug.k == 0:
-        y, dec = (fom_cycle if method == "rfom" else gmres_cycle)(a, r0, m, reorth=reorth)
-        return y, np.zeros(0), dec, np.zeros((0, dec.j))
     dec = arnoldi(as_operator(a), r0, m, reorth=reorth)
-    j = dec.j
+    j, k = dec.j, aug.k
     coupling = compute_coupling(aug, dec.v, dec.hbar)
-    r_hat, z0 = projected_residual(aug, r0)
-    vr = dec.v.conj().T @ r_hat
-    d = dec.v.conj().T @ aug.c  # basis/image inner products
+    _, z0 = projected_residual(aug, r0)
+    d = (aug.c.conj().T @ dec.v).conj().T  # never conjugate-copies the basis
+    beta_e1 = np.zeros(j + 1 + k, dtype=np.result_type(dec.hbar, d))
+    beta_e1[0] = np.linalg.norm(r0)
     if method == "rfom":
-        lhs = dec.h - d[:j] @ coupling
-        rhs = vr[:j]
+        y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0, dec)
     else:
-        hb = dec.hbar[: dec.v.shape[1], :]
-        hd = hb.conj().T @ d
-        lhs = hb.conj().T @ hb - hd @ hd.conj().T
-        rhs = hb.conj().T @ vr
-    try:
-        y = dense_solve(lhs, rhs)
-    except SingularMatrixError as exc:
-        raise SolverBreakdownError(f"singular reduced system at size {j}", dec) from exc
-    z = z0 - coupling @ y
-    return y, z, dec, coupling
+        # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
+        # can push an eigenvalue below 0 when C lies nearly inside the image
+        evals, evecs = np.linalg.eigh(aug.small - d.conj().T @ d)
+        lsq = np.zeros((j + 1 + k, j + k), dtype=beta_e1.dtype)
+        lsq[: j + 1, :j] = dec.hbar
+        lsq[: d.shape[0], j:] = d  # on a lucky breakdown row j stays zero
+        lsq[j + 1 :, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
+        y = dense_lstsq(lsq, beta_e1)[:j]
+    coupling = coupling[:, : len(y)]
+    return y, z0 - coupling @ y, dec, coupling
 
 
 def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
@@ -161,10 +157,10 @@ def unproj_solve(
         y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth)
         result.final_decomposition = dec
         result.z_norms.append(float(np.linalg.norm(z)))
-        if aug.k == 0:
-            return _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, base)
-        x = x + dec.basis @ y + aug.u @ z
-        r = r - dec.v @ (dec.hbar[: dec.v.shape[1], :] @ y) - aug.c @ z
-        return x, r, dec.j
+        # the Hessenberg inner norms leave out the augmentation correction,
+        # so they are recorded for an empty space only
+        inner = base if aug.k == 0 else None
+        x, r, size = _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, inner)
+        return x + aug.u @ z, r - aug.c @ z, size
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

@@ -136,6 +136,10 @@ class TestDenseLstsq:
         with pytest.raises(RankDeficientError):
             dense_lstsq(m, np.ones(4))
 
+    def test_zero_matrix_is_rank_deficient(self):
+        with pytest.raises(RankDeficientError):
+            dense_lstsq(np.zeros((3, 2)), np.ones(3))
+
 
 class TestSmallEig:
     def test_diagonal(self):

@@ -98,7 +98,7 @@ class TestRefresh:
 
         a = SparseMatrix.diagonal(np.arange(1.0, 11.0))
         old = build_augmentation(a, np.eye(10)[:, :2], Constraint.GALERKIN)
-        spec = RecycleSpec(k=2, refresh_policy=RefreshPolicy.FROZEN)
+        spec = RecycleSpec(k=2)
         op = as_operator(a)
         before = op.matvec_count
         out = refresh(op, old, None, spec, Constraint.GALERKIN)

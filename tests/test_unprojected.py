@@ -150,6 +150,17 @@ class TestRgmresCycle:
         y_plain = np.linalg.solve(hb.conj().T @ hb, hb.conj().T @ rhs)
         assert np.linalg.norm(y - y_plain) <= 1e-10 * np.linalg.norm(y_plain)
 
+    def test_rank_deficient_problem_raises(self):
+        # A e1 = e1 ends Arnoldi after one step, and C = e1 repeats its only
+        # column, so the least-squares matrix has an exactly zero pivot
+        from kryrec.core import RankDeficientError
+
+        a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
+        e1 = np.eye(6)[0]
+        aug = build_augmentation(a, e1[:, None], Constraint.MINRES, orthonormalize_c=True)
+        with pytest.raises(RankDeficientError):
+            unproj_rgmres_cycle(a, aug, e1, 4)
+
     def test_requires_orthonormal_image(self):
         a, aug, r0 = rfom_instance(0)  # Galerkin, not orthonormalized
         with pytest.raises(ValueError):
