@@ -9,7 +9,10 @@ written as CSV (or an equivalent JSON mirror).
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,9 @@ __all__ = [
     "tridiagonal_matrix",
 ]
 
+# np.loadtxt reads a body of only these bytes exactly as the per-line loop does
+_NUMERIC_BODY = b"0123456789+-.eE \t\r\n"
+_HEAD = re.compile(r"[^\n]*\n?(?:[^\S\n]*(?:%[^\n]*)?\n)*[^\n]*\n?")  # header, comments, size line
 HISTORY_COLUMNS = ["solver", "system_label", "cycle", "matvecs", "residual_norm", "wall_time_ms"]
 
 
@@ -87,10 +93,14 @@ def read_matrix_market(path) -> SparseMatrix:
 
     Supports real/complex values and general/symmetric storage; symmetric
     files are expanded to full storage, 1-based indices converted, duplicate
-    entries summed. Pattern and array formats are rejected.
+    entries summed. Pattern and array formats are rejected. numpy's C reader
+    parses a body of plain numbers; the per-line loop, which gives every error
+    its line number, parses any body that reader or its checks refuse.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    cut = _HEAD.match(text).end()
+    lines = text[:cut].splitlines()  # a prefix of text.splitlines()
     if not lines:
         raise MatrixMarketError("empty file", 1)
     header = lines[0].strip().split()
@@ -120,6 +130,14 @@ def read_matrix_market(path) -> SparseMatrix:
         raise MatrixMarketError(f"bad size line: {exc}", idx + 1) from exc
 
     complex_vals = fieldtype == "complex"
+    if idx == len(lines) - 1:  # else str.splitlines saw more breaks than _HEAD
+        try:
+            coo = _numeric_body(text[cut:].encode("ascii"), complex_vals, symmetry, n_rows, n_cols, nnz)
+        except (ValueError, Warning):
+            pass
+        else:
+            return SparseMatrix.from_coo(*coo, (n_rows, n_cols))
+    lines = text.splitlines()
     rows, cols, vals = [], [], []
     seen = 0
     for line_no in range(idx + 1, len(lines)):
@@ -154,6 +172,29 @@ def read_matrix_market(path) -> SparseMatrix:
     if seen != nnz:
         raise MatrixMarketError(f"header promised {nnz} entries, found {seen}")
     return SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+
+
+def _numeric_body(body: bytes, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
+    """The loop's COO triplets, read by np.loadtxt; raises ``ValueError`` or a
+    warning where the loop must decide."""
+    if body.translate(None, _NUMERIC_BODY):
+        raise ValueError("body is not plain numbers")
+    dtype = [("i", np.int64), ("j", np.int64), ("v", np.float64, (1 + complex_vals,))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body only warns
+        e = np.loadtxt(io.BytesIO(body), dtype=dtype, ndmin=1)
+    i, j = e["i"] - 1, e["j"] - 1
+    if len(e) != nnz or not np.all((i >= 0) & (i < n_rows) & (j >= 0) & (j < n_cols)):
+        raise ValueError("entry count or index out of range")
+    # (re, im) pairs reinterpreted, so every bit is the parsed one
+    vals = np.ascontiguousarray(e["v"]).view(np.complex128 if complex_vals else np.float64)[:, 0]
+    if symmetry == "symmetric":
+        # each entry then its mirror, the loop's order, so duplicates sum alike
+        reps = 1 + (i != j)
+        i, j, vals = np.repeat(i, reps), np.repeat(j, reps), np.repeat(vals, reps)
+        mirror = np.cumsum(reps)[reps == 2] - 1
+        i[mirror], j[mirror] = j[mirror], i[mirror]
+    return i, j, vals
 
 
 def tridiagonal_matrix(n: int, lower=-1.0, diag=2.0, upper=-1.0) -> SparseMatrix:

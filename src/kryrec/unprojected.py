@@ -25,7 +25,6 @@ from .augmented import (
     Constraint,
     build_augmentation,
     compute_coupling,
-    projected_residual,
 )
 from .baseline import (
     SolveResult,
@@ -69,7 +68,7 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
     dec = arnoldi(as_operator(a), r0, m, reorth=reorth)
     j, k = dec.j, aug.k
     coupling = compute_coupling(aug, dec.v, dec.hbar)
-    _, z0 = projected_residual(aug, r0)
+    z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
     d = (aug.c.conj().T @ dec.v).conj().T  # never conjugate-copies the basis
     beta_e1 = np.zeros(j + 1 + k, dtype=np.result_type(dec.hbar, d))
     beta_e1[0] = np.linalg.norm(r0)

@@ -1,8 +1,7 @@
-"""Smoke test: the quick demos run to completion.
+"""Smoke test: the quick demos run to completion and leave no temporary
+files behind.
 
-``01_restarted_baselines.py`` is left out because it takes about 20 s, and
-``04_cli_and_history.py`` because it writes into a ``mkdtemp`` directory that
-it never removes.
+``01_restarted_baselines.py`` is left out because it takes about 20 s.
 """
 
 import os
@@ -15,10 +14,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_projection_framework.py", "03_unprojected_recycling.py"])
+@pytest.mark.parametrize(
+    "demo",
+    ["02_projection_framework.py", "03_unprojected_recycling.py", "04_cli_and_history.py"],
+)
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,
@@ -28,3 +33,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmpdir.iterdir())

@@ -101,6 +101,33 @@ class TestMatrixMarket:
             read_matrix_market(p)
         assert exc.value.line_no == line
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "1 1 1.2.3",
+            "1 1 1-2",
+            "1 1 1e5e",
+            "1 1 1e",
+            "1 1 1.0,",
+            "1 1 1.5abc",
+            "1 1 1.0 5.0",
+            "1 1 2.0 % c",
+            "1 1\x0c2.0",
+            "1.0 1 2.0",
+        ],
+    )
+    def test_malformed_entries_rejected_with_line_numbers(self, tmp_path, entry):
+        # a lenient number parser would read each of these as some entry;
+        # the reader must reject them with the line of the bad entry
+        p = self.write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"% comment\n2 2 2\n2 2 1.0\n{entry}\n",
+        )
+        with pytest.raises(MatrixMarketError) as exc:
+            read_matrix_market(p)
+        assert exc.value.line_no == 5
+
     def test_nnz_mismatch_detected(self, tmp_path):
         p = self.write(
             tmp_path,

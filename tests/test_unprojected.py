@@ -199,8 +199,8 @@ class TestRgmresCycle:
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 @pytest.mark.parametrize("method", ["rfom", "rgmres"])
 def test_cycle_z_is_the_z_correction_oracle(method, dtype):
-    # the cycle forms z from projected_residual's z0; it must stay the same
-    # bits as z_correction, which the block-decoupling oracle tests use
+    # the cycle forms its own z0 = small⁻¹ Ũ* r0; z must stay the same bits
+    # as z_correction, which the block-decoupling oracle tests use
     rng = np.random.default_rng(4)
     n, k = 60, 5
     dense = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
