@@ -6,7 +6,7 @@ the same routine serves the plain matrix and implicitly projected operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,12 +73,14 @@ class ArnoldiDecomposition:
     ``v`` holds orthonormal columns: ``j + 1`` of them normally, only ``j``
     when a lucky breakdown truncated the process (the last Hessenberg row is
     then exactly zero). ``hbar`` is the ``(j+1) x j`` upper-Hessenberg matrix.
+    ``step_norms`` holds a solver cycle's ``(i, residual norm)`` pairs, if any.
     """
 
     v: np.ndarray
     hbar: np.ndarray
     j: int
     breakdown: int | None = None
+    step_norms: list = field(default_factory=list)
 
     @property
     def basis(self) -> np.ndarray:
@@ -91,7 +93,7 @@ class ArnoldiDecomposition:
         return self.hbar[: self.j, :]
 
 
-def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposition:
+def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> ArnoldiDecomposition:
     """Run up to ``m`` Arnoldi steps of ``op`` started from ``r``.
 
     Classical Gram-Schmidt over a row-major basis, applied twice by default
@@ -109,6 +111,8 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposit
     reorth : bool
         Run the second Gram-Schmidt pass; without it a single classical pass
         loses orthogonality on nearly dependent Krylov vectors.
+    stop : callable, optional
+        ``stop(i, vt, hbar)`` after each step ``i`` without breakdown; true ends the run.
     """
     op = as_operator(op)
     r = check_finite("start vector", np.asarray(r))
@@ -154,6 +158,8 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True) -> ArnoldiDecomposit
             )
         hbar[j + 1, j] = hnext
         vt[j + 1] = w / hnext
+        if stop is not None and stop(j + 1, vt, hbar) and j + 1 < m:
+            return ArnoldiDecomposition(v=vt[: j + 2].T, hbar=hbar[: j + 2, : j + 1].copy(), j=j + 1)
     return ArnoldiDecomposition(v=vt.T, hbar=hbar, j=m)
 
 

@@ -12,9 +12,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, arnoldi, as_operator
+from .augmented import compute_coupling
 from .core import (
+    PIVOT_RTOL,
     RankDeficientError,
     SingularMatrixError,
     check_finite,
@@ -82,10 +85,11 @@ class SolverConfig:
 class SolveResult:
     """Outcome of an outer solve loop.
 
-    ``residual_history`` rows are ``(cycle, inner_step, norm)``; row 0 is the
-    initial residual, and the row with ``inner_step == achieved cycle size``
-    holds the recurred norm used for the convergence check. ``cycle_matvecs``
-    gives the cumulative matvec count at each cycle end.
+    ``residual_history`` rows are ``(cycle, inner_step, norm)``: row 0 is the
+    initial residual; a cycle's rows below its size are its residual monitor's
+    norms, and its last row (``inner_step`` = size) is the recurred norm, or
+    the true one where a recurred norm met the tolerance and the true did not.
+    ``cycle_matvecs`` gives the cumulative matvec count at each cycle end.
     """
 
     x: np.ndarray
@@ -124,70 +128,114 @@ def _leading_solve(lhs: np.ndarray, rhs: np.ndarray, dec: ArnoldiDecomposition) 
     raise SolverBreakdownError(f"singular reduced system at every size up to {dec.j}", dec)
 
 
-def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
+class _ResidualMonitor:
+    """Arnoldi ``stop`` callback: keeps the cycle's residual norm after each
+    step ``i`` as ``(i, norm)`` in ``norms`` (none where it is infinite), true
+    at the first norm <= ``threshold``. ``w`` spans the null space of
+    ``Hbar_i*``, ``w_1 = 1``: GMRES's norm is ``beta/||w||``, FOM's
+    ``beta/|w_{i+1}|``. With augmentation, ``D = V_{i+1}* C`` and
+    ``P = C* C - D* D`` grow a row per step, and the least residual over
+    ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``, ``a = w* D/||w||``:
+    rgmres's norm, and a bound below rfom's, computed where the bound meets
+    ``threshold`` only.
+    """
+
+    def __init__(self, r, method: str, threshold: float, aug=None, z0=None):
+        self.beta, self.threshold = float(np.linalg.norm(r)), threshold
+        self.method, self.aug, self.z0, self.k = method, aug, z0, aug.k if aug else 0
+        self.norms, self.w = [], [1.0]
+
+    def run(self, op, r, m: int, reorth: bool):
+        """Arnoldi under this monitor; its norms go on the decomposition."""
+        dec = arnoldi(op, r, m, reorth=reorth, stop=self)
+        dec.step_norms = self.norms
+        return dec
+
+    def __call__(self, i: int, vt, hbar) -> bool:
+        self.w.append(-np.vdot(hbar[:i, i - 1], self.w) / hbar[i, i - 1])
+        if self.method == "fom" and not self.k:
+            norm = self.beta / abs(self.w[i]) if self.w[i] else np.inf
+        else:
+            norm = self._min_residual(i, vt)
+            if self.method == "fom":
+                if norm > self.threshold:
+                    return False
+                norm = self._galerkin_norm(i, vt, hbar)
+        if norm < np.inf:
+            self.norms.append((i, float(norm)))
+        return norm <= self.threshold
+
+    def _min_residual(self, i: int, vt) -> float:
+        """The least residual over ``[V_i U]``, by a Cholesky solve with ``P``; where
+        rounding left ``P`` indefinite, only over its eigenvalues clearly above 0."""
+        wnorm = np.linalg.norm(self.w)
+        if not self.k:
+            return float(self.beta / wnorm)
+        c = self.aug.c
+        if i == 1:
+            gram = self.aug.small if self.method == "gmres" else c.conj().T @ c  # rgmres's is C* C
+            self.d = np.empty((len(vt), self.k), np.result_type(vt, c))
+            self.p = np.array(gram, dtype=self.d.dtype)
+            self.posv = scipy.linalg.get_lapack_funcs("posv", (self.p,))
+        for row in (0, 1) if i == 1 else (i,):
+            self.d[row] = vt[row].conj() @ c
+            self.p -= np.outer(self.d[row].conj(), self.d[row])
+        a = (self.w @ self.d[: i + 1].conj()) / wnorm  # D* w/||w||
+        _, x, info = self.posv(self.p, a)
+        if info:
+            evals, evecs = np.linalg.eigh(self.p)
+            keep = evecs[:, evals > PIVOT_RTOL * max(evals[-1], 0.0)]
+            x = keep @ np.linalg.solve(keep.conj().T @ self.p @ keep, keep.conj().T @ a)
+        return float(self.beta / wnorm / np.sqrt(1.0 + np.vdot(a, x).real))
+
+    def _galerkin_norm(self, i: int, vt, hbar) -> float:
+        """rfom's residual norm at size ``i``; infinite where its matrix is singular."""
+        hb, d, rhs = hbar[: i + 1, :i], self.d[: i + 1], self.beta * np.eye(i + 1)[0]
+        coupling = compute_coupling(self.aug, vt[: i + 1].T, hb)
+        try:
+            y = dense_solve(hb[:i] - d[:i] @ coupling, rhs[:i] - d[:i] @ self.z0)
+        except SingularMatrixError:
+            return np.inf
+        z = self.z0 - coupling @ y
+        top = rhs - hb @ y - d @ z
+        return float(np.sqrt(np.vdot(top, top).real + max(np.vdot(z, self.p @ z).real, 0.0)))
+
+
+def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
     """One FOM cycle: Arnoldi plus the Galerkin correction.
 
     Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
     largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
     ``len(y)`` may fall short of ``dec.j``. Raises
     :class:`SolverBreakdownError` carrying the decomposition when no size is
-    nonsingular.
+    nonsingular. Stops at the first residual norm ``<= threshold``.
     """
-    op = as_operator(a)
-    dec = arnoldi(op, r, m, reorth=reorth)
+    dec = _ResidualMonitor(r, "fom", threshold).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return _leading_solve(dec.h, rhs, dec), dec
 
 
-def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True):
+def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
     """One GMRES cycle: Arnoldi plus the small least-squares correction.
 
-    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``.
+    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``;
+    stops at the first residual norm ``<= threshold``.
     """
-    op = as_operator(a)
-    dec = arnoldi(op, r, m, reorth=reorth)
+    dec = _ResidualMonitor(r, "gmres", threshold).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(dec.j + 1, dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return dense_lstsq(dec.hbar, rhs), dec
 
 
-def inner_residual_norms(dec: ArnoldiDecomposition, beta: float, method: str):
-    """Small-problem residual norms at sizes 1..j-1 of one cycle.
-
-    Observational only: reconstructed from the Hessenberg after the cycle,
-    skipping sizes where the square solve is singular. GMRES values are
-    least-squares objectives and therefore nonincreasing.
-    """
-    out = []
-    for i in range(1, dec.j):
-        rhs = np.zeros(i + 1, dtype=dec.hbar.dtype)
-        rhs[0] = beta
-        try:
-            if method == "gmres":
-                yi = dense_lstsq(dec.hbar[: i + 1, :i], rhs)
-                val = float(np.linalg.norm(rhs - dec.hbar[: i + 1, :i] @ yi))
-            else:
-                yi = dense_solve(dec.hbar[:i, :i], rhs[:i])
-                val = float(abs(dec.hbar[i, i - 1] * yi[-1]))
-        except (SingularMatrixError, RankDeficientError):
-            continue
-        out.append((i, val))
-    return out
-
-
-def _krylov_update(history, cycle, x, r, rnorm, dec, y, method):
-    """Record the inner norms of a FOM/GMRES cycle (none when ``method`` is
-    ``None``), then update ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y`` at
-    the size ``i = len(y)``.
+def _krylov_update(history, cycle, x, r, dec, y):
+    """Record the cycle's monitored norms below the size ``i = len(y)``,
+    then update ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y``.
 
     Returns ``(x, r, i)``.
     """
     size = len(y)
-    if method is not None:
-        for i, val in inner_residual_norms(dec, rnorm, method):
-            if i < size:
-                history.append((cycle, i, val))
+    history.extend((cycle, i, val) for i, val in dec.step_norms if i < size)
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
     ncols = min(size + 1, dec.v.shape[1])
@@ -198,11 +246,12 @@ def _krylov_update(history, cycle, x, r, rnorm, dec, y, method):
 def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_count: int):
     """The restart loop shared by every solver.
 
-    ``step(x, r, rnorm, cycle)`` runs one cycle and returns ``(x, r, size)``
+    ``step(x, r, cycle, threshold)`` runs one cycle and returns ``(x, r, size)``
     with the achieved cycle size; it may append inner rows to
     ``result.residual_history``. A breakdown inside a step ends the loop with
     ``stop_reason == "breakdown"``. The residual is recurred by the steps and
-    cross-checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles.
+    checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles and where it
+    meets the threshold; a true residual that fails it there goes on instead.
     """
     r = b - op(x) if np.any(x) else b.copy()
     rnorm = float(np.linalg.norm(r))
@@ -217,16 +266,15 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
 
     for cycle in range(1, cfg.max_cycles + 1):
         try:
-            x, r, size = step(x, r, rnorm, cycle)
+            x, r, size = step(x, r, cycle, threshold)
         except (SolverBreakdownError, RankDeficientError):
             result.stop_reason = "breakdown"
             break
         rnorm_new = float(np.linalg.norm(r))
-        history.append((cycle, size, rnorm_new))
         result.x = x
         result.cycles_used = cycle
 
-        if cycle % DRIFT_CHECK_EVERY == 0:
+        if rnorm_new <= threshold or cycle % DRIFT_CHECK_EVERY == 0:
             true_r = b - op(x)
             gap = float(np.linalg.norm(r - true_r) / max(np.linalg.norm(b), 1e-300))
             result.max_drift_gap = max(result.max_drift_gap, gap)
@@ -236,6 +284,10 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
                     f"relative gap {gap:.2e} at cycle {cycle}",
                     stacklevel=3,
                 )
+            true_norm = float(np.linalg.norm(true_r))
+            if rnorm_new <= threshold < true_norm:
+                r, rnorm_new = true_r, true_norm
+        history.append((cycle, size, rnorm_new))
         result.cycle_matvecs.append(op.matvec_count - start_count)
         if rnorm_new <= threshold:
             result.converged = True
@@ -265,8 +317,9 @@ def _check_inputs(a, b, x0):
 def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
     """Restarted FOM or GMRES down to the configured tolerance.
 
-    The residual is recurred cheaply from the Arnoldi relation and
-    cross-checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles.
+    Cycles stop at the first step that meets the tolerance. The residual is
+    recurred from the Arnoldi relation and checked against ``b - A x`` at
+    convergence and every ``DRIFT_CHECK_EVERY`` cycles.
     Stagnation or breakdown ends the loop with ``converged=False`` rather
     than raising.
     """
@@ -277,8 +330,8 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
     cycle_fn = fom_cycle if method == "fom" else gmres_cycle
     result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0)
 
-    def step(x, r, rnorm, cycle):
-        y, dec = cycle_fn(op, r, cfg.cycle_length, cfg.reorth)
-        return _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, method)
+    def step(x, r, cycle, threshold):
+        y, dec = cycle_fn(op, r, cfg.cycle_length, cfg.reorth, threshold)
+        return _krylov_update(result.residual_history, cycle, x, r, dec, y)
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

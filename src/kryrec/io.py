@@ -32,6 +32,8 @@ __all__ = [
 
 # np.loadtxt reads a body of only these bytes exactly as the per-line loop does
 _NUMERIC_BODY = b"0123456789+-.eE \t\r\n"
+# a whole-line comment that str.splitlines does not break (dropped with the \n before it)
+_COMMENT_LINE = re.compile(rb"\n[ \t]*%[^\n\r\x0b\x0c\x1c-\x1e]*(?=\r?\n|\Z)")
 _HEAD = re.compile(r"[^\n]*\n?(?:[^\S\n]*(?:%[^\n]*)?\n)*[^\n]*\n?")  # header, comments, size line
 HISTORY_COLUMNS = ["solver", "system_label", "cycle", "matvecs", "residual_norm", "wall_time_ms"]
 
@@ -177,6 +179,7 @@ def read_matrix_market(path) -> SparseMatrix:
 def _numeric_body(body: bytes, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
     """The loop's COO triplets, read by np.loadtxt; raises ``ValueError`` or a
     warning where the loop must decide."""
+    body = _COMMENT_LINE.sub(b"", b"\n" + body) if b"%" in body else body
     if body.translate(None, _NUMERIC_BODY):
         raise ValueError("body is not plain numbers")
     dtype = [("i", np.int64), ("j", np.int64), ("v", np.float64, (1 + complex_vals,))]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arnoldi import arnoldi, as_operator
+from .arnoldi import as_operator
 from .augmented import (
     AugmentationSpace,
     Constraint,
@@ -29,6 +29,7 @@ from .augmented import (
 from .baseline import (
     SolveResult,
     SolverConfig,
+    _ResidualMonitor,
     _check_inputs,
     _krylov_update,
     _leading_solve,
@@ -46,14 +47,16 @@ __all__ = [
 
 @dataclass
 class AugmentedSolveResult(SolveResult):
-    """Solve outcome plus the per-cycle augmentation correction norms."""
+    """Solve outcome plus the per-cycle augmentation correction norms.
+    ``final_decomposition``, the source to recycle from, is the last one that ran
+    all ``cycle_length`` steps or broke down: a cycle stopped early is too short."""
 
     z_norms: list = field(default_factory=list)
     k_used: int = 0
     final_decomposition: object = None
 
 
-def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool, method: str):
+def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, method, threshold):
     """The cycle shared by ``rfom`` and ``rgmres``.
 
     Every reduced quantity is read off the unprojected Arnoldi relation
@@ -62,17 +65,18 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
     ``z = z0 - B_i y``. ``rfom`` solves ``(H - D_j B) y = ||r0|| e_1 - D_j z0``
     at the largest nonsingular leading size ``i``; ``rgmres`` takes ``y`` from
     the least-squares problem ``[[Hbar, D], [0, T]] [y; z] ~ ||r0|| e_1`` with
-    ``T* T = C* C - D* D``. With ``k = 0`` both are FOM/GMRES in the same
-    floating-point operations.
+    ``T* T = C* C - D* D``; ``method`` is ``"fom"`` or ``"gmres"``. With
+    ``k = 0`` both are FOM/GMRES in the same floating-point operations.
+    Arnoldi stops at the first residual norm that meets ``threshold``.
     """
-    dec = arnoldi(as_operator(a), r0, m, reorth=reorth)
+    z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
+    dec = _ResidualMonitor(r0, method, threshold, aug, z0).run(as_operator(a), r0, m, reorth)
     j, k = dec.j, aug.k
     coupling = compute_coupling(aug, dec.v, dec.hbar)
-    z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
     d = (aug.c.conj().T @ dec.v).conj().T  # never conjugate-copies the basis
     beta_e1 = np.zeros(j + 1 + k, dtype=np.result_type(dec.hbar, d))
     beta_e1[0] = np.linalg.norm(r0)
-    if method == "rfom":
+    if method == "fom":
         y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0, dec)
     else:
         # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
@@ -87,24 +91,24 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: 
     return y, z0 - coupling @ y, dec, coupling
 
 
-def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
+def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
     """One augmented FOM cycle on the plain-operator Krylov space (Galerkin
-    constraint). Returns ``(y, z, dec, coupling)``."""
+    constraint), stopped at a residual norm <= ``threshold``. Returns ``(y, z, dec, coupling)``."""
     if aug.k > 0 and aug.choice is not Constraint.GALERKIN:
         raise ValueError("rfom requires a Galerkin-constrained augmentation space")
-    return _augmented_cycle(a, aug, r0, m, reorth, "rfom")
+    return _augmented_cycle(a, aug, r0, m, reorth, "fom", threshold)
 
 
-def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth: bool = True):
+def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
     """One augmented GMRES cycle on the plain-operator Krylov space (minimum
-    residual over the Krylov plus augmentation space); requires orthonormal
-    image columns. Returns ``(y, z, dec, coupling)``."""
+    residual over the Krylov plus augmentation space), stopped at a residual norm
+    <= ``threshold``; requires orthonormal image columns. Returns ``(y, z, dec, coupling)``."""
     if aug.k > 0 and not (aug.choice is Constraint.MINRES and aug.c_orthonormal):
         raise ValueError(
             "rgmres requires a minimum-residual augmentation space with "
             "orthonormal image columns"
         )
-    return _augmented_cycle(a, aug, r0, m, reorth, "rgmres")
+    return _augmented_cycle(a, aug, r0, m, reorth, "gmres", threshold)
 
 
 def unproj_solve(
@@ -139,27 +143,24 @@ def unproj_solve(
         aug = build_augmentation(op, u0, choice, orthonormalize_c=(method == "rgmres"))
 
     cycle_fn = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
-    base = "fom" if method == "rfom" else "gmres"
     result = AugmentedSolveResult(
         x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k
     )
 
-    def step(x, r, rnorm, cycle):
+    def step(x, r, cycle, threshold):
         nonlocal aug
-        # the recycler sees the previous cycle's decomposition, so it runs
+        # the recycler sees the last full cycle's decomposition, so it runs
         # only between cycles, never after the last one
         if recycler is not None and cycle > 1:
             new_aug = recycler(op, aug, result.final_decomposition)
             if new_aug is not None:
                 aug = new_aug
                 result.k_used = max(result.k_used, aug.k)
-        y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth)
-        result.final_decomposition = dec
+        y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth, threshold)
+        if result.final_decomposition is None or dec.breakdown or dec.j == cfg.cycle_length:
+            result.final_decomposition = dec
         result.z_norms.append(float(np.linalg.norm(z)))
-        # the Hessenberg inner norms leave out the augmentation correction,
-        # so they are recorded for an empty space only
-        inner = base if aug.k == 0 else None
-        x, r, size = _krylov_update(result.residual_history, cycle, x, r, rnorm, dec, y, inner)
+        x, r, size = _krylov_update(result.residual_history, cycle, x, r, dec, y)
         return x + aug.u @ z, r - aug.c @ z, size
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

@@ -7,7 +7,6 @@ from kryrec.baseline import (
     SolverConfig,
     fom_cycle,
     gmres_cycle,
-    inner_residual_norms,
     restarted_solve,
 )
 from kryrec.core import SparseMatrix
@@ -246,6 +245,38 @@ class TestRestartedSolve:
         drift = [w for w in caught if "drifted" in str(w.message)]
         assert [w.filename for w in drift] == [__file__]
 
+    @pytest.mark.parametrize("method", ["fom", "gmres", "rfom", "rgmres"])
+    def test_convergence_is_confirmed_by_the_true_residual(self, method):
+        # The operator shifts by 1e-3 I right after the first cycle's
+        # Arnoldi steps, so the recurred residual that meets the tolerance
+        # there is not b - A x for the operator that A has become.
+        n, tol = 60, 1e-10
+        ad = tridiagonal_matrix(n).to_dense() + 2 * np.eye(n)
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal(n)
+        u = rng.standard_normal((n, 3))
+        cfg = SolverConfig(40, tol, max_cycles=20)
+
+        def solve(op):
+            if method in ("fom", "gmres"):
+                return restarted_solve(op, b, None, cfg, method)
+            return unproj_solve(op, b, None, u, cfg, method)
+
+        fixed = solve(OperatorHandle(n, lambda v: ad @ v))
+        assert fixed.converged and fixed.cycles_used == 1
+        switch_at = fixed.cycle_matvecs[0] - 1  # all but the confirming matvec
+        op = OperatorHandle(n, lambda v: ad @ v + (1e-3 * v if op.matvec_count > switch_at else 0.0))
+        with pytest.warns(UserWarning, match="drifted"):
+            res = solve(op)
+        true_norm = np.linalg.norm(b - (ad + 1e-3 * np.eye(n)) @ res.x)
+        assert res.converged and true_norm <= tol * np.linalg.norm(b)
+        # the first cycle did not count as converged: the solve went on from
+        # the true residual, which its history row shows
+        assert res.cycles_used >= 2
+        first_end = [norm for cycle, _, norm in res.residual_history if cycle == 1][-1]
+        assert first_end > tol * np.linalg.norm(b)
+        assert res.matvec_count == op.matvec_count
+
     def test_history_rows_well_formed(self):
         a = tridiagonal_matrix(30)
         b = np.ones(30)
@@ -256,13 +287,21 @@ class TestRestartedSolve:
         assert len(res.residual_history) > 1
         final_cycle_rows = [r for r in res.residual_history if r[0] == res.cycles_used]
         assert final_cycle_rows[-1][2] == res.final_residual_norm
+        # inner steps rise within each cycle; the cycle's size comes last
+        for cycle in range(1, res.cycles_used + 1):
+            steps = [inner for c, inner, _ in res.residual_history if c == cycle]
+            assert steps == sorted(set(steps)) and steps[-1] <= 5
 
 
 def test_inner_norms_skip_singular_sizes():
-    # Hessenberg whose 1x1 leading block is zero: size-1 FOM solve is
-    # singular and must be skipped, larger sizes still reported.
+    # Hessenberg whose 1x1 leading block is zero: the size-1 FOM solve is
+    # singular, so FOM's history has no row for that size; GMRES's has one.
     a = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    r = np.array([1.0, 0.0])
-    y, dec = fom_cycle(a, r, 2)
-    entries = inner_residual_norms(dec, 1.0, "fom")
-    assert all(size != 1 for size, _ in entries)
+    b = np.array([1.0, 0.0])
+    cfg = SolverConfig(2, 1e-10, tol_mode="abs")
+    inner = {}
+    for method in ("fom", "gmres"):
+        res = restarted_solve(a, b, None, cfg, method)
+        assert res.converged and res.cycles_used == 1
+        inner[method] = [i for cycle, i, _ in res.residual_history if cycle == 1]
+    assert inner == {"fom": [2], "gmres": [1, 2]}

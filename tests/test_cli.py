@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import kryrec.cli
 from kryrec.cli import cli_main
 from kryrec.io import read_history
+from kryrec.unprojected import unproj_solve
 
 
 @pytest.fixture
@@ -161,17 +165,30 @@ class TestCompare:
 
     def test_matvec_accounting_in_records(self, tmp_path):
         out = str(tmp_path / "acc_")
-        code = run(
-            ["compare", "--family", "tridiag:n=32,count=1", "--methods", "rfom",
-             "-m", "8", "-k", "3", "--refresh", "cycle", "--tol", "1e-8",
-             "--max-cycles", "100", "--out", out]
-        )
+        solves = []
+
+        def spy(op, *args, **kwargs):
+            solves.append((op, unproj_solve(op, *args, **kwargs)))
+            return solves[-1][1]
+
+        with mock.patch.object(kryrec.cli, "unproj_solve", spy):
+            code = run(
+                ["compare", "--family", "tridiag:n=32,count=1", "--methods", "rfom",
+                 "-m", "8", "-k", "3", "--refresh", "cycle", "--tol", "1e-8",
+                 "--max-cycles", "100", "--out", out]
+            )
         assert code == 0
         recs = read_history(str(tmp_path / "acc_rfom.csv"))
         cycle_end = {}
         for r in recs:
             cycle_end[r.cycle] = r.matvecs
         cycles = max(cycle_end)
-        # m per cycle + k per between-cycle rebuild + drift checks every 10
-        expected = 8 * cycles + 3 * (cycles - 1) + cycles // 10
-        assert cycle_end[cycles] == expected
+        (op, res), = solves
+        # the last cycle stops at the tolerance; its size ends the history
+        last_cycle, last_size, _ = res.residual_history[-1]
+        assert last_cycle == cycles and 1 <= last_size <= 8
+        # m per full cycle, k per between-cycle rebuild, and a true residual
+        # every 10 cycles and at the stop
+        checks = cycles // 10 + (cycles % 10 != 0)
+        expected = 8 * (cycles - 1) + last_size + 3 * (cycles - 1) + checks
+        assert cycle_end[cycles] == expected == op.matvec_count

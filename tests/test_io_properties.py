@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,21 @@ from kryrec.io import MatrixMarketError, read_matrix_market
 # accepts ('+1', 'nan', '1_0'), most it rejects.
 BAD_VALUES = ["1.2.3", "1-2", "1e5e", "1e", "1.0,", "1.5abc", "nan", "inf", "1_0", "abc", "--1"]
 BAD_INDICES = ["1.0", "1e0", "0", "-1", "+1", "01", "99999999999999999999"]
-NOISE_LINES = {None: [], "blank": ["", "   ", "\t"], "comment": ["% comment", " %% 1 2 3", ""]}
+# 'comment' lines are whole-line comments that numpy's path drops; 'split'
+# adds comments holding a break of str.splitlines, which the loop reads as a
+# comment and then an entry.
+NOISE_LINES = {
+    None: [],
+    "blank": ["", "   ", "\t"],
+    "comment": ["% comment", " %% 1 2 3", "", "\t% 50% done"],
+    "split": ["% comment", "% split\x0b1 1 1.0", "% split\r1 1 1.0", "% split\x1e"],
+}
+SPLITLINES_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def dropped_comment(line):
+    """A whole-line comment that numpy's path may drop."""
+    return line.lstrip(" \t").startswith("%") and not any(c in line for c in SPLITLINES_BREAKS)
 
 
 def fmt_value(rng, v, integer):
@@ -50,7 +65,8 @@ def draw_value(rng, integer):
 
 def mm_text(rng, field, symmetric, n_rows, n_cols, n_entries, dups, noise, crlf, corrupt):
     """Text of a coordinate file, and whether numpy's reader should take it:
-    a plain numeric body after a head that str.splitlines breaks as '\\n' does."""
+    a body of plain numbers and whole-line comments after a head that
+    str.splitlines breaks as '\\n' does."""
     integer = field == "integer"
     width = 2 if field == "complex" else 1
     entries = []
@@ -78,7 +94,7 @@ def mm_text(rng, field, symmetric, n_rows, n_cols, n_entries, dups, noise, crlf,
         lines.append(pad + sep().join(tokens) + str(rng.choice(["", " ", "\t"])))
         if noise and rng.random() < 0.3:
             lines.append(str(rng.choice(NOISE_LINES[noise])))
-    plain = not any("%" in line for line in lines)
+    plain = all("%" not in line or dropped_comment(line) for line in lines)
 
     nnz = len(entries)
     if corrupt == "count":
@@ -106,7 +122,7 @@ def mm_text(rng, field, symmetric, n_rows, n_cols, n_entries, dups, noise, crlf,
     # a form feed ends a line for str.splitlines only: the loop reads 'hidden'
     # as the size line and the size line below it as an entry
     hidden = f"% hidden\x0c{n_rows} {n_cols} {nnz + int(rng.integers(2))}"
-    extra = str(rng.choice(["% generated", "", "% form\x0cfeed", hidden])) if noise == "comment" else ""
+    extra = str(rng.choice(["% generated", "", "% form\x0cfeed", hidden])) if noise in ("comment", "split") else ""
     head += [extra, f"{n_rows} {n_cols} {nnz}"]
     eol = "\r\n" if crlf else "\n"
     text = eol.join(head + lines) + (eol if rng.random() < 0.8 else "")
@@ -168,6 +184,27 @@ def test_reader_matches_per_line_loop(
     if isinstance(want, tuple) and want[0] is not MatrixMarketError:
         # only non-finite values get past the loop to fail in SparseMatrix
         assert "non-finite" in want[1]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_comment_lines_keep_the_numpy_path(tmp_path, eol):
+    # whole-line comments first, mid-body and last (without a final newline)
+    lines = ["%%MatrixMarket matrix coordinate real symmetric", "3 3 3", "% first",
+             "1 1 2.0", "  % 50% mid", "2 1 -1.5", "\t%", "3 2 4e-3", "% last"]
+    path = tmp_path / "m.mtx"
+    path.write_bytes(eol.join(lines).encode("ascii"))
+    with mock.patch.object(kryrec.io, "_numeric_body", side_effect=ValueError("loop only")):
+        want = outcome(path)
+    numeric_body, returned = kryrec.io._numeric_body, []
+
+    def spy(*args):
+        returned.append(numeric_body(*args))
+        return returned[-1]
+
+    with mock.patch.object(kryrec.io, "_numeric_body", spy):
+        assert outcome(path) == want
+    assert returned, "whole-line comments must not send the body to the per-line loop"
+    assert read_matrix_market(path).to_dense().tolist() == [[2.0, -1.5, 0.0], [-1.5, 0.0, 4e-3], [0.0, 4e-3, 0.0]]
 
 
 def test_symmetric_duplicates_sum_in_loop_order(tmp_path):

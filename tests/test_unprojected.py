@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,24 @@ class TestUnprojSolve:
         assert seeded.cycles_used < plain.cycles_used
 
 
+@pytest.mark.parametrize("method", ["rfom", "rgmres"])
+def test_recycling_source_is_the_last_full_cycle(method):
+    # The last cycle stops early at the tolerance; recycling its few steps
+    # would give poor Ritz vectors, so the source stays the cycle before it.
+    rng = np.random.default_rng(5)
+    a = well_conditioned(rng, 200)
+    b = rng.standard_normal(200)
+    m = 10
+    res = unproj_solve(a, b, None, None, SolverConfig(m, 1e-8, max_cycles=200), method)
+    assert res.converged and res.cycles_used >= 2
+    last_cycle, last_size, _ = res.residual_history[-1]
+    assert last_cycle == res.cycles_used and last_size < m
+    assert res.final_decomposition.j == m
+    # with a single cycle, that cycle is the source whatever its length
+    one = unproj_solve(a, b, None, None, SolverConfig(m, 0.9, max_cycles=200), method)
+    assert one.cycles_used == 1 and one.final_decomposition.j == one.residual_history[-1][1] < m
+
+
 class TestDegenerateAugmentation:
     """rgmres with augmentation spaces that overlap the Krylov space."""
 
@@ -374,8 +394,12 @@ class TestDegenerateAugmentation:
         b = rng.standard_normal(n)
         u = np.linalg.solve(a.to_dense(), b)[:, None]  # A u = r0
         cfg = SolverConfig(8, 1e-10, max_cycles=20)
-        res = unproj_solve(a, b, None, u, cfg, "rgmres")
+        with warnings.catch_warnings():
+            # P = C* C - D* D is singular here: its solve must not give NaN
+            warnings.simplefilter("error", RuntimeWarning)
+            res = unproj_solve(a, b, None, u, cfg, "rgmres")
         assert res.converged and res.cycles_used == 1
+        assert all(np.isfinite(norm) for _, _, norm in res.residual_history)
         assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-9 * np.linalg.norm(b)
 
     def test_image_inside_the_krylov_image_stops_with_a_typed_outcome(self):
@@ -387,7 +411,9 @@ class TestDegenerateAugmentation:
         b = rng.standard_normal(n)
         u = arnoldi(a, b, 8).v[:, :2]  # A u lies in span V_3
         cfg = SolverConfig(8, 1e-10, max_cycles=20)
-        res = unproj_solve(a, b, None, u, cfg, "rgmres")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = unproj_solve(a, b, None, u, cfg, "rgmres")
         assert res.converged or res.stop_reason == "breakdown"
         if res.converged:
             assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-9 * np.linalg.norm(b)
