@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import ArnoldiDecomposition, arnoldi, as_operator
+from .arnoldi import arnoldi, as_operator
 from .augmented import compute_coupling
 from .core import (
     PIVOT_RTOL,
@@ -46,11 +46,7 @@ DRIFT_WARN_RTOL = 1e-6
 
 
 class SolverBreakdownError(RuntimeError):
-    """Singular small system inside a cycle; carries the decomposition."""
-
-    def __init__(self, message: str, dec: ArnoldiDecomposition | None = None):
-        super().__init__(message)
-        self.dec = dec
+    """Singular small system at every leading size inside a cycle."""
 
 
 @dataclass
@@ -89,7 +85,8 @@ class SolveResult:
     initial residual; a cycle's rows below its size are its residual monitor's
     norms, and its last row (``inner_step`` = size) is the recurred norm, or
     the true one where a recurred norm met the tolerance and the true did not.
-    ``cycle_matvecs`` gives the cumulative matvec count at each cycle end.
+    ``history_matvecs[i]`` is the solve's matvec count when row ``i`` was
+    written, matvecs spent between cycles included.
     """
 
     x: np.ndarray
@@ -98,8 +95,7 @@ class SolveResult:
     converged: bool
     cycles_used: int
     stop_reason: str = "converged"
-    cycle_matvecs: list = field(default_factory=list)
-    setup_matvecs: int = 0
+    history_matvecs: list = field(default_factory=list)
     max_drift_gap: float = 0.0
 
     @property
@@ -115,17 +111,17 @@ class SolveResult:
         return self.residual_history[-1][2]
 
 
-def _leading_solve(lhs: np.ndarray, rhs: np.ndarray, dec: ArnoldiDecomposition) -> np.ndarray:
+def _leading_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``lhs[:i, :i] y = rhs[:i]`` at the largest leading size ``i``
     whose block is nonsingular, so ``len(y)`` may fall short of
-    ``len(lhs)``. Raises :class:`SolverBreakdownError` carrying ``dec`` when
-    no size is nonsingular."""
+    ``len(lhs)``. Raises :class:`SolverBreakdownError` when no size is
+    nonsingular."""
     for size in range(lhs.shape[0], 0, -1):
         try:
             return dense_solve(lhs[:size, :size], rhs[:size])
         except SingularMatrixError:
             pass
-    raise SolverBreakdownError(f"singular reduced system at every size up to {dec.j}", dec)
+    raise SolverBreakdownError(f"singular reduced system at every size up to {lhs.shape[0]}")
 
 
 class _ResidualMonitor:
@@ -207,13 +203,13 @@ def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 
     Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
     largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
     ``len(y)`` may fall short of ``dec.j``. Raises
-    :class:`SolverBreakdownError` carrying the decomposition when no size is
-    nonsingular. Stops at the first residual norm ``<= threshold``.
+    :class:`SolverBreakdownError` when no size is nonsingular. Stops at the
+    first residual norm ``<= threshold``.
     """
     dec = _ResidualMonitor(r, "fom", threshold).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
-    return _leading_solve(dec.h, rhs, dec), dec
+    return _leading_solve(dec.h, rhs), dec
 
 
 def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
@@ -228,14 +224,17 @@ def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float 
     return dense_lstsq(dec.hbar, rhs), dec
 
 
-def _krylov_update(history, cycle, x, r, dec, y):
-    """Record the cycle's monitored norms below the size ``i = len(y)``,
+def _krylov_update(result, cycle, start, x, r, dec, y):
+    """Record the cycle's monitored norms below the size ``i = len(y)``, each
+    at the matvec count ``start`` (the count before the cycle) plus its step,
     then update ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y``.
 
     Returns ``(x, r, i)``.
     """
     size = len(y)
-    history.extend((cycle, i, val) for i, val in dec.step_norms if i < size)
+    rows = [(cycle, i, val) for i, val in dec.step_norms if i < size]
+    result.residual_history.extend(rows)
+    result.history_matvecs.extend(start + i for _, i, _ in rows)
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
     ncols = min(size + 1, dec.v.shape[1])
@@ -248,22 +247,25 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
 
     ``step(x, r, cycle, threshold)`` runs one cycle and returns ``(x, r, size)``
     with the achieved cycle size; it may append inner rows to
-    ``result.residual_history``. A breakdown inside a step ends the loop with
-    ``stop_reason == "breakdown"``. The residual is recurred by the steps and
-    checked against ``b - A x`` every ``DRIFT_CHECK_EVERY`` cycles and where it
-    meets the threshold; a true residual that fails it there goes on instead.
+    ``result.residual_history`` with their counts to ``result.history_matvecs``.
+    A breakdown inside a step ends the loop with ``stop_reason == "breakdown"``.
+    The residual is recurred by the steps and checked against ``b - A x`` every
+    ``DRIFT_CHECK_EVERY`` cycles and where it meets the threshold; a true
+    residual that fails it there goes on instead, unless it is no smaller than
+    at the last such failure, which ends the loop as stagnation.
     """
     r = b - op(x) if np.any(x) else b.copy()
     rnorm = float(np.linalg.norm(r))
     threshold = cfg.threshold(float(np.linalg.norm(b)))
     history = result.residual_history
     history.append((0, 0, rnorm))
-    result.setup_matvecs = op.matvec_count - start_count
+    result.history_matvecs.append(op.matvec_count - start_count)
     result.converged = rnorm <= threshold
     if result.converged:
         result.matvec_count = op.matvec_count - start_count
         return result
 
+    failed_norm = np.inf  # true norm at the last confirmation that failed
     for cycle in range(1, cfg.max_cycles + 1):
         try:
             x, r, size = step(x, r, cycle, threshold)
@@ -273,6 +275,7 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
         rnorm_new = float(np.linalg.norm(r))
         result.x = x
         result.cycles_used = cycle
+        stalled = False
 
         if rnorm_new <= threshold or cycle % DRIFT_CHECK_EVERY == 0:
             true_r = b - op(x)
@@ -286,13 +289,14 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
                 )
             true_norm = float(np.linalg.norm(true_r))
             if rnorm_new <= threshold < true_norm:
-                r, rnorm_new = true_r, true_norm
+                stalled = true_norm >= failed_norm
+                r, rnorm_new, failed_norm = true_r, true_norm, true_norm
         history.append((cycle, size, rnorm_new))
-        result.cycle_matvecs.append(op.matvec_count - start_count)
+        result.history_matvecs.append(op.matvec_count - start_count)
         if rnorm_new <= threshold:
             result.converged = True
             break
-        if abs(rnorm - rnorm_new) < STAGNATION_RTOL * rnorm:
+        if stalled or abs(rnorm - rnorm_new) < STAGNATION_RTOL * rnorm:
             result.stop_reason = "stagnation"
             break
         rnorm = rnorm_new
@@ -331,7 +335,8 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
     result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0)
 
     def step(x, r, cycle, threshold):
+        start = op.matvec_count - start_count
         y, dec = cycle_fn(op, r, cfg.cycle_length, cfg.reorth, threshold)
-        return _krylov_update(result.residual_history, cycle, x, r, dec, y)
+        return _krylov_update(result, cycle, start, x, r, dec, y)
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

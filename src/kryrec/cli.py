@@ -133,23 +133,6 @@ def _load_family(args) -> ProblemFamily:
     raise ValueError("one of --matrix or --family is required")
 
 
-def _records_from_result(res, solver, label, offset, wall) -> list:
-    rows = []
-    ends = {c: offset + mv for c, mv in enumerate(res.cycle_matvecs, start=1)}
-    history = res.residual_history
-    for idx, (cycle, inner, norm) in enumerate(history):
-        last_of_cycle = idx + 1 == len(history) or history[idx + 1][0] != cycle
-        if cycle == 0:
-            mv = offset + res.setup_matvecs
-        elif last_of_cycle and cycle in ends:
-            mv = ends[cycle]
-        else:
-            start = ends.get(cycle - 1, offset + res.setup_matvecs)
-            mv = start + inner
-        rows.append(ConvergenceRecord(solver, label, cycle, mv, norm, wall))
-    return rows
-
-
 def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: RecycleSpec, timing: bool):
     choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
     ortho = method == "rgmres"
@@ -178,7 +161,10 @@ def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: Re
         wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
         # Matvecs spent before the solve loop started (cross-system refresh).
         offset = op.matvec_count - res.matvec_count
-        records.extend(_records_from_result(res, method, label, offset, wall))
+        records.extend(
+            ConvergenceRecord(method, label, cycle, offset + mv, norm, wall)
+            for (cycle, _, norm), mv in zip(res.residual_history, res.history_matvecs)
+        )
         final_rel = res.final_residual_norm / max(np.linalg.norm(b), 1e-300)
         summary.append(
             (method, label, res.cycles_used, op.matvec_count, final_rel, res.converged)

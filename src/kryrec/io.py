@@ -62,10 +62,6 @@ class ProblemFamily:
             if a.n_rows != n or a.n_cols != n or b.shape != (n,):
                 raise ValueError("all systems in a family must share one dimension")
 
-    @property
-    def n(self) -> int:
-        return self.systems[0][0].n_rows
-
     def __len__(self):
         return len(self.systems)
 
@@ -259,25 +255,14 @@ def generate_family(kind: str, n: int, count: int, params: dict | None = None) -
             raise ValueError(f"need {count} shifts, got {len(sigmas)}")
         eye = SparseMatrix.identity(n)
         for i, sigma in enumerate(sigmas):
-            shifted = SparseMatrix.from_coo(
-                np.concatenate([_coo_rows(base), _coo_rows(eye)]),
-                np.concatenate([base.col_indices, eye.col_indices]),
-                np.concatenate([base.values, sigma * eye.values]),
-                (n, n),
-            )
+            shifted = _scaled_sum(base, sigma, eye)
             systems.append((shifted, _random_unit_vector(rng, n), f"shifted-{i}"))
         provenance = f"shifted(n={n},count={count},sigmas={list(sigmas)},seed={seed})"
     elif kind == "perturbed":
         eps = params.pop("eps", 1e-3)
         density = params.pop("density", 0.01)
         for i in range(count):
-            pert = _random_sparse(rng, n, density)
-            combined = SparseMatrix.from_coo(
-                np.concatenate([_coo_rows(base), _coo_rows(pert)]),
-                np.concatenate([base.col_indices, pert.col_indices]),
-                np.concatenate([base.values, eps * pert.values]),
-                (n, n),
-            )
+            combined = _scaled_sum(base, eps, _random_sparse(rng, n, density))
             systems.append((combined, _random_unit_vector(rng, n), f"perturbed-{i}"))
         provenance = f"perturbed(n={n},count={count},eps={eps},density={density},seed={seed})"
     else:
@@ -287,8 +272,15 @@ def generate_family(kind: str, n: int, count: int, params: dict | None = None) -
     return ProblemFamily(systems, provenance)
 
 
-def _coo_rows(a: SparseMatrix) -> np.ndarray:
-    return np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+def _scaled_sum(base: SparseMatrix, scale: float, other: SparseMatrix) -> SparseMatrix:
+    """``base + scale * other`` in ``base``'s shape, by one COO assembly."""
+    rows = [np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets)) for a in (base, other)]
+    return SparseMatrix.from_coo(
+        np.concatenate(rows),
+        np.concatenate([base.col_indices, other.col_indices]),
+        np.concatenate([base.values, scale * other.values]),
+        base.shape,
+    )
 
 
 def write_history(records, path, format: str = "csv") -> None:

@@ -77,7 +77,7 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
     beta_e1 = np.zeros(j + 1 + k, dtype=np.result_type(dec.hbar, d))
     beta_e1[0] = np.linalg.norm(r0)
     if method == "fom":
-        y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0, dec)
+        y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0)
     else:
         # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
         # can push an eigenvalue below 0 when C lies nearly inside the image
@@ -156,11 +156,12 @@ def unproj_solve(
             if new_aug is not None:
                 aug = new_aug
                 result.k_used = max(result.k_used, aug.k)
+        start = op.matvec_count - start_count
         y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth, threshold)
         if result.final_decomposition is None or dec.breakdown or dec.j == cfg.cycle_length:
             result.final_decomposition = dec
         result.z_norms.append(float(np.linalg.norm(z)))
-        x, r, size = _krylov_update(result.residual_history, cycle, x, r, dec, y)
+        x, r, size = _krylov_update(result, cycle, start, x, r, dec, y)
         return x + aug.u @ z, r - aug.c @ z, size
 
     return _run_cycles(op, b, x, cfg, step, result, start_count)

@@ -264,7 +264,7 @@ class TestRestartedSolve:
 
         fixed = solve(OperatorHandle(n, lambda v: ad @ v))
         assert fixed.converged and fixed.cycles_used == 1
-        switch_at = fixed.cycle_matvecs[0] - 1  # all but the confirming matvec
+        switch_at = fixed.history_matvecs[-1] - 1  # all but the confirming matvec
         op = OperatorHandle(n, lambda v: ad @ v + (1e-3 * v if op.matvec_count > switch_at else 0.0))
         with pytest.warns(UserWarning, match="drifted"):
             res = solve(op)
@@ -275,7 +275,28 @@ class TestRestartedSolve:
         assert res.cycles_used >= 2
         first_end = [norm for cycle, _, norm in res.residual_history if cycle == 1][-1]
         assert first_end > tol * np.linalg.norm(b)
-        assert res.matvec_count == op.matvec_count
+        assert res.history_matvecs[-1] == res.matvec_count == op.matvec_count
+
+    @pytest.mark.parametrize("method", ["fom", "gmres", "rfom", "rgmres"])
+    def test_unattainable_tolerance_stops_as_stagnation(self, method):
+        # tol = 1e-17 lies below what the arithmetic reaches here (a true
+        # relative residual near 7e-16): recurred norms keep meeting it and
+        # their confirmations keep failing without getting any smaller
+        n = 300
+        rng = np.random.default_rng(0)
+        a = SparseMatrix.from_dense(2 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n))
+        b = rng.standard_normal(n)
+        u = rng.standard_normal((n, 4))
+        cfg = SolverConfig(30, 1e-17, max_cycles=200)
+        if method in ("fom", "gmres"):
+            res = restarted_solve(a, b, None, cfg, method)
+        else:
+            res = unproj_solve(a, b, None, u, cfg, method)
+        assert res.stop_reason == "stagnation" and not res.converged
+        assert res.matvec_count < 150
+        # the last row holds the failed confirmation's true norm
+        true_norm = np.linalg.norm(b - as_operator(a)(res.x))
+        assert true_norm == res.final_residual_norm <= 1e-15 * np.linalg.norm(b)
 
     def test_history_rows_well_formed(self):
         a = tridiagonal_matrix(30)
@@ -287,6 +308,11 @@ class TestRestartedSolve:
         assert len(res.residual_history) > 1
         final_cycle_rows = [r for r in res.residual_history if r[0] == res.cycles_used]
         assert final_cycle_rows[-1][2] == res.final_residual_norm
+        # one matvec count per row, never decreasing; a solve that ends with a
+        # cycle-end row (here at max_cycles) ends at its own count
+        assert len(res.history_matvecs) == len(res.residual_history)
+        assert res.history_matvecs == sorted(res.history_matvecs)
+        assert res.stop_reason == "max_cycles" and res.history_matvecs[-1] == res.matvec_count
         # inner steps rise within each cycle; the cycle's size comes last
         for cycle in range(1, res.cycles_used + 1):
             steps = [inner for c, inner, _ in res.residual_history if c == cycle]

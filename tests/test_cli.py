@@ -164,31 +164,63 @@ class TestCompare:
         assert run(["compare", "--methods", "fom"]) == 1
 
     def test_matvec_accounting_in_records(self, tmp_path):
+        # Every row's matvecs is the operator's count when the row was written:
+        # row 0's when the solve starts, an inner row's when the residual
+        # monitor computed its norm, and a cycle's end row's when the next
+        # cycle's refresh starts (or when the solve returns).
         out = str(tmp_path / "acc_")
         solves = []
+        monitor_call = kryrec.baseline._ResidualMonitor.__call__
 
-        def spy(op, *args, **kwargs):
-            solves.append((op, unproj_solve(op, *args, **kwargs)))
-            return solves[-1][1]
+        def spy(op, *args, recycler, **kwargs):
+            start, inner_counts, end_counts = op.matvec_count, {}, []
+
+            def monitor(self, i, vt, hbar):
+                stop = monitor_call(self, i, vt, hbar)
+                if self.norms and self.norms[-1][0] == i:
+                    inner_counts[self.norms[-1]] = op.matvec_count
+                return stop
+
+            def counting_recycler(*rargs):
+                end_counts.append(op.matvec_count)
+                return recycler(*rargs)
+
+            with mock.patch.object(kryrec.baseline._ResidualMonitor, "__call__", monitor):
+                res = unproj_solve(op, *args, recycler=counting_recycler, **kwargs)
+            end_counts.append(op.matvec_count)
+            solves.append((op, res, start, inner_counts, end_counts))
+            return res
 
         with mock.patch.object(kryrec.cli, "unproj_solve", spy):
             code = run(
-                ["compare", "--family", "tridiag:n=32,count=1", "--methods", "rfom",
+                ["compare", "--family", "tridiag:n=32,count=1", "--methods", "rfom,rgmres",
                  "-m", "8", "-k", "3", "--refresh", "cycle", "--tol", "1e-8",
                  "--max-cycles", "100", "--out", out]
             )
         assert code == 0
-        recs = read_history(str(tmp_path / "acc_rfom.csv"))
-        cycle_end = {}
-        for r in recs:
-            cycle_end[r.cycle] = r.matvecs
-        cycles = max(cycle_end)
-        (op, res), = solves
-        # the last cycle stops at the tolerance; its size ends the history
-        last_cycle, last_size, _ = res.residual_history[-1]
-        assert last_cycle == cycles and 1 <= last_size <= 8
-        # m per full cycle, k per between-cycle rebuild, and a true residual
-        # every 10 cycles and at the stop
-        checks = cycles // 10 + (cycles % 10 != 0)
-        expected = 8 * (cycles - 1) + last_size + 3 * (cycles - 1) + checks
-        assert cycle_end[cycles] == expected == op.matvec_count
+        late_inner_rows = {}
+        for method, (op, res, start, inner_counts, end_counts) in zip(("rfom", "rgmres"), solves):
+            recs = read_history(str(tmp_path / f"acc_{method}.csv"))
+            history = res.residual_history
+            assert [(r.cycle, r.residual_norm) for r in recs] == [(c, norm) for c, _, norm in history]
+            expected, late_inner_rows[method] = [], 0
+            for idx, (cycle, inner, norm) in enumerate(history):
+                if cycle == 0:
+                    expected.append(start)
+                elif idx + 1 == len(history) or history[idx + 1][0] != cycle:
+                    expected.append(end_counts[cycle - 1])
+                else:
+                    expected.append(inner_counts[inner, norm])
+                    late_inner_rows[method] += cycle > 1
+            assert [r.matvecs for r in recs] == expected
+            # the last cycle stops at the tolerance; its size ends the history
+            cycles = res.cycles_used
+            last_cycle, last_size, _ = history[-1]
+            assert last_cycle == cycles and 1 <= last_size <= 8
+            # m per full cycle, k per between-cycle rebuild, and a true residual
+            # every 10 cycles and at the stop
+            checks = cycles // 10 + (cycles % 10 != 0)
+            total = 8 * (cycles - 1) + last_size + 3 * (cycles - 1) + checks
+            assert recs[-1].matvecs == total == op.matvec_count
+        # inner rows after the first rebuild are the ones the count must cover
+        assert late_inner_rows["rgmres"] > 0

@@ -263,7 +263,7 @@ class TestUnprojSolve:
         assert np.array_equal(res_aug.x, res_base.x)
         assert res_aug.residual_history == res_base.residual_history
         assert res_aug.matvec_count == res_base.matvec_count
-        assert res_aug.cycle_matvecs == res_base.cycle_matvecs
+        assert res_aug.history_matvecs == res_base.history_matvecs
         assert res_aug.cycles_used == res_base.cycles_used
         assert res_aug.stop_reason == res_base.stop_reason
 
