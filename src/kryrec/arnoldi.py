@@ -133,8 +133,6 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
     hbar = np.zeros((m + 1, m), dtype=dtype)
     vt[0] = r / beta
     scale = np.linalg.norm(w0)
-    if scale == 0.0:
-        scale = 1.0
 
     # w is updated in place, so it must never alias the operator's output
     w = w0.astype(dtype, copy=True)
@@ -149,7 +147,6 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
         hnext = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * scale:
             steps = j + 1
-            hbar[steps, steps - 1] = 0.0
             return ArnoldiDecomposition(
                 v=vt[:steps].copy().T,
                 hbar=hbar[: steps + 1, :steps].copy(),

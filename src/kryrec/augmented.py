@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import OperatorHandle, arnoldi, as_operator
-from .core import DimensionError, PIVOT_RTOL, SingularMatrixError, dense_solve
+from .core import DimensionError, SingularMatrixError, dense_solve, small_pivots
 
 __all__ = [
     "Constraint",
@@ -99,13 +99,6 @@ class AugmentationSpace:
         return cls(z, z, choice, True, np.zeros((0, 0)), None)
 
 
-def _column_rank_ok(m: np.ndarray) -> bool:
-    if m.shape[1] == 0:
-        return True
-    r = np.linalg.qr(m, mode="r")
-    return bool(np.min(np.abs(np.diag(r))) >= PIVOT_RTOL * np.linalg.norm(m))
-
-
 def build_augmentation(
     a, u: np.ndarray, choice: Constraint, orthonormalize_c: bool = False
 ) -> AugmentationSpace:
@@ -123,15 +116,14 @@ def build_augmentation(
         raise DimensionError(f"augmentation basis shape {u.shape} does not match n")
     if u.shape[1] < 1:
         raise ValueError("augmentation basis must have at least one column")
-    if not _column_rank_ok(u):
+    if small_pivots(np.diag(np.linalg.qr(u, mode="r")), u).size:
         raise ValueError("rank-deficient augmentation basis")
 
     c = np.column_stack([op(u[:, i]) for i in range(u.shape[1])])
     c_orthonormal = False
     if orthonormalize_c:
         q, rfac = np.linalg.qr(c, mode="reduced")
-        diag = np.abs(np.diag(rfac))
-        if np.any(diag < PIVOT_RTOL * np.linalg.norm(c)):
+        if small_pivots(np.diag(rfac), c).size:
             raise ValueError("rank-deficient augmentation image (A u)")
         inv_r = scipy.linalg.solve_triangular(
             rfac, np.eye(rfac.shape[0], dtype=rfac.dtype), check_finite=False
@@ -159,7 +151,7 @@ def build_augmentation(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         small_lu = scipy.linalg.lu_factor(small, check_finite=False)
-    if np.any(np.abs(np.diag(small_lu[0])) < PIVOT_RTOL * max(np.linalg.norm(small), 1e-300)):
+    if small_pivots(np.diag(small_lu[0]), small).size:
         space = "augmentation basis" if choice is Constraint.GALERKIN else "augmentation image"
         raise SingularMatrixError(0, f"singular test-space product against the {space}")
     return AugmentationSpace(u, c, choice, c_orthonormal, small, small_lu)

@@ -147,16 +147,9 @@ def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: Re
         if method in ("fom", "gmres"):
             res = restarted_solve(op, b, None, cfg, method)
         else:
-            if (
-                rspec.refresh_policy is RefreshPolicy.PER_SYSTEM
-                and rspec.k > 0
-                and last_dec is not None
-            ):
+            if rspec.refresh_policy is RefreshPolicy.PER_SYSTEM:
                 aug = refresh(op, aug, last_dec, rspec, choice, ortho)
-            recycler = None
-            if rspec.refresh_policy is RefreshPolicy.PER_CYCLE and rspec.k > 0:
-                recycler = per_cycle_recycler(rspec, choice, ortho)
-            res = unproj_solve(op, b, None, aug, cfg, method, recycler=recycler)
+            res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(rspec, choice, ortho))
             last_dec = res.final_decomposition
         wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
         # Matvecs spent before the solve loop started (cross-system refresh).

@@ -27,8 +27,8 @@ __all__ = [
     "check_finite",
 ]
 
-# |pivot| below PIVOT_RTOL * ||M||_F declares a factorization singular; matches
-# the breakdown thresholds used by the solver layer.
+# |pivot| at or below PIVOT_RTOL * ||M||_F declares a factorization singular;
+# matches the breakdown thresholds used by the solver layer.
 PIVOT_RTOL = 1e-14
 
 # Largest dense eigenproblem accepted by small_eig.
@@ -154,6 +154,13 @@ class SparseMatrix:
         return self._csr.toarray()
 
 
+def small_pivots(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Indices of the pivots or R diagonal entries ``d`` of a factorization of
+    ``m`` with ``|d_i| <= PIVOT_RTOL * ||m||_F``; any one makes ``m`` singular
+    (or rank-deficient), an all-zero ``m`` included."""
+    return np.flatnonzero(np.abs(d) <= PIVOT_RTOL * np.linalg.norm(m))
+
+
 def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``a @ x`` per CSR row semantics."""
     x = np.asarray(x)
@@ -167,8 +174,8 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
 def dense_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the small square system ``m @ y = b`` by partial-pivoted LU.
 
-    Raises :class:`SingularMatrixError` (carrying the pivot index) when a
-    pivot falls below ``PIVOT_RTOL * ||m||_F``.
+    Raises :class:`SingularMatrixError` (carrying the pivot index) at the
+    first pivot that :func:`small_pivots` flags.
     """
     m = np.asarray(m)
     b = np.asarray(b)
@@ -178,14 +185,10 @@ def dense_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"rhs length {b.shape[0]} != {m.shape[0]}")
     if m.shape[0] == 0:
         return np.zeros(0, dtype=np.result_type(m.dtype, b.dtype, np.float64))
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        raise SingularMatrixError(0, "singular matrix: all entries zero")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    bad = np.where(diag < PIVOT_RTOL * scale)[0]
+    bad = small_pivots(np.diag(lu), m)
     if bad.size:
         raise SingularMatrixError(int(bad[0]))
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
@@ -206,12 +209,10 @@ def dense_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m.shape[1] == 0:
         return np.zeros(0, dtype=np.result_type(m.dtype, b.dtype, np.float64))
     q, r = np.linalg.qr(m, mode="reduced")
-    diag = np.abs(np.diag(r))
-    scale = np.linalg.norm(m)
-    if scale == 0.0 or np.any(diag < PIVOT_RTOL * scale):
+    if small_pivots(np.diag(r), m).size:
         raise RankDeficientError(
             f"rank-deficient least-squares matrix {m.shape}: "
-            f"min |R_ii| = {diag.min():.3e}"
+            f"min |R_ii| = {np.abs(np.diag(r)).min():.3e}"
         )
     return scipy.linalg.solve_triangular(r, q.conj().T @ b, check_finite=False)
 

@@ -198,13 +198,10 @@ def _numeric_body(body: bytes, complex_vals: bool, symmetry: str, n_rows: int, n
 
 def tridiagonal_matrix(n: int, lower=-1.0, diag=2.0, upper=-1.0) -> SparseMatrix:
     """Standard second-difference style tridiagonal test operator."""
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if i > 0:
-            rows.append(i), cols.append(i - 1), vals.append(lower)
-        rows.append(i), cols.append(i), vals.append(diag)
-        if i < n - 1:
-            rows.append(i), cols.append(i + 1), vals.append(upper)
+    i = np.arange(n)
+    rows = np.concatenate([i[1:], i, i[:-1]])
+    cols = np.concatenate([i[:-1], i, i[1:]])
+    vals = np.repeat([lower, diag, upper], [max(n - 1, 0), n, max(n - 1, 0)])
     return SparseMatrix.from_coo(rows, cols, vals, (n, n))
 
 
@@ -287,35 +284,18 @@ def write_history(records, path, format: str = "csv") -> None:
     """Persist convergence records; CSV columns are fixed and floats use the
     shortest round-trip decimal form."""
     fmt = format.lower()
-    if fmt == "csv":
+    rows = [
+        [r.solver, r.system_label, r.cycle, r.matvecs, float(r.residual_norm), float(r.wall_time)]
+        for r in records
+    ]
+    if fmt == "csv":  # csv writes a float as its repr
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(HISTORY_COLUMNS)
-            for rec in records:
-                writer.writerow(
-                    [
-                        rec.solver,
-                        rec.system_label,
-                        rec.cycle,
-                        rec.matvecs,
-                        repr(float(rec.residual_norm)),
-                        repr(float(rec.wall_time)),
-                    ]
-                )
+            writer.writerows(rows)
     elif fmt == "json":
-        payload = [
-            {
-                "solver": rec.solver,
-                "system_label": rec.system_label,
-                "cycle": rec.cycle,
-                "matvecs": rec.matvecs,
-                "residual_norm": float(rec.residual_norm),
-                "wall_time_ms": float(rec.wall_time),
-            }
-            for rec in records
-        ]
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump([dict(zip(HISTORY_COLUMNS, row)) for row in rows], fh, indent=2)
             fh.write("\n")
     else:
         raise ValueError(f"unknown history format {format!r}")

@@ -69,11 +69,10 @@ class RitzPairs(NamedTuple):
 def _selection_order(values: np.ndarray, selection: Selection) -> np.ndarray:
     # Deterministic: ties broken by smaller real part, then smaller imaginary
     # part, so identical inputs always yield identical bases.
+    keys = [values.imag, values.real]  # np.lexsort sorts by the last key first
     if selection is Selection.SMALLEST_MAGNITUDE:
-        keys = list(zip(np.abs(values), values.real, values.imag))
-    else:
-        keys = list(zip(values.real, values.imag))
-    return np.array(sorted(range(len(values)), key=lambda i: keys[i]), dtype=int)
+        keys.append(np.abs(values))
+    return np.lexsort(keys)
 
 
 def extract_ritz(
@@ -129,11 +128,11 @@ def refresh(
 ) -> AugmentationSpace | None:
     """Rebuild the augmentation space from the latest decomposition.
 
-    Without a decomposition ``old_aug`` is returned untouched (zero
-    matvecs). Otherwise fresh Ritz vectors are extracted, dependent columns
-    dropped, and the image recomputed against ``a`` (k matvecs), so recycling
-    across a family always validates the image identity against the current
-    operator.
+    Without a decomposition ``old_aug`` is returned untouched, and with
+    ``spec.k == 0`` the empty space (zero matvecs either way). Otherwise fresh
+    Ritz vectors are extracted, dependent columns dropped, and the image
+    recomputed against ``a`` (k matvecs), so recycling across a family always
+    validates the image identity against the current operator.
     """
     if dec is None:
         return old_aug

@@ -25,6 +25,13 @@ def test_identity_breaks_down_at_step_one():
     assert np.allclose(dec.v[:, 0], r)
 
 
+def test_start_vector_in_the_null_space_breaks_down_at_step_one():
+    # A v_1 = 0: the operator scale is zero, and the zero product is a breakdown
+    dec = arnoldi(SparseMatrix.diagonal([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0]), 3)
+    assert dec.j == dec.breakdown == 1
+    assert np.array_equal(dec.hbar, np.zeros((2, 1)))
+
+
 def test_two_by_two_hand_values():
     a = SparseMatrix.diagonal([1.0, 2.0])
     r = np.array([1.0, 1.0]) / np.sqrt(2)

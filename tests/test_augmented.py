@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kryrec.arnoldi import arnoldi
+from kryrec.arnoldi import arnoldi, as_operator
 from kryrec.augmented import (
     AugmentationSpace,
     Constraint,
@@ -58,6 +58,20 @@ class TestBuildAugmentation:
         u = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(ValueError, match="augmentation basis"):
             build_augmentation(a, u, Constraint.GALERKIN)
+
+    def test_zero_basis_rejected_before_any_matvec(self):
+        op = as_operator(SparseMatrix.diagonal(np.arange(1.0, 6.0)))
+        with pytest.raises(ValueError, match="rank-deficient augmentation basis") as exc:
+            build_augmentation(op, np.zeros((5, 2)), Constraint.GALERKIN)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+        assert op.matvec_count == 0
+
+    def test_image_annihilated_by_the_operator_rejected(self):
+        # A u = 0: the rgmres path must not leak an untyped LinAlgError
+        a = SparseMatrix.diagonal([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"rank-deficient augmentation image \(A u\)") as exc:
+            build_augmentation(a, np.eye(4)[:, :1], Constraint.MINRES, orthonormalize_c=True)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_image_identity_on_random_instances(self, seed):

@@ -331,3 +331,17 @@ def test_inner_norms_skip_singular_sizes():
         assert res.converged and res.cycles_used == 1
         inner[method] = [i for cycle, i, _ in res.residual_history if cycle == 1]
     assert inner == {"fom": [2], "gmres": [1, 2]}
+
+
+@pytest.mark.parametrize("method", ["fom", "rfom"])
+def test_singular_reduced_system_at_every_size_is_a_breakdown(method):
+    # H = [[0]] after one step: no leading size of the FOM system is nonsingular
+    a = SparseMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    b = np.array([1.0, 0.0])
+    cfg = SolverConfig(1, 1e-10)
+    if method == "fom":
+        res = restarted_solve(a, b, None, cfg, method)
+    else:
+        res = unproj_solve(a, b, None, None, cfg, method)
+    assert res.stop_reason == "breakdown" and not res.converged
+    assert res.cycles_used == 0 and res.matvec_count == 1

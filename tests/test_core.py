@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kryrec.core import (
+    PIVOT_RTOL,
     DimensionError,
     RankDeficientError,
     SingularMatrixError,
@@ -89,6 +90,14 @@ class TestDenseSolve:
     def test_zero_matrix_singular(self):
         with pytest.raises(SingularMatrixError):
             dense_solve(np.zeros((2, 2)), np.ones(2))
+
+    def test_pivot_at_the_threshold_is_singular(self):
+        # ||m||_F rounds to 1, so the second pivot ties PIVOT_RTOL * ||m||_F
+        m = np.diag([1.0, PIVOT_RTOL])
+        assert np.linalg.norm(m) == 1.0
+        with pytest.raises(SingularMatrixError) as exc:
+            dense_solve(m, np.ones(2))
+        assert exc.value.pivot_index == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kryrec.arnoldi import arnoldi, as_operator
+from kryrec.arnoldi import ArnoldiDecomposition, arnoldi, as_operator
 from kryrec.augmented import Constraint
 from kryrec.core import SparseMatrix
 from kryrec.recycling import (
@@ -141,6 +141,15 @@ class TestRefresh:
         with pytest.warns(UserWarning, match="Ritz vectors"):
             aug = refresh(a, None, dec, RecycleSpec(k=9), Constraint.GALERKIN)
         assert aug.k == 4
+
+    def test_dependent_ritz_vectors_dropped_with_warning(self):
+        # a 2x2 Jordan block: both Ritz vectors are the same basis column
+        v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
+        dec = ArnoldiDecomposition(v=v, hbar=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.5]]), j=2)
+        a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
+        with pytest.warns(UserWarning, match="dropping 1 dependent Ritz vectors"):
+            aug = refresh(a, None, dec, RecycleSpec(k=2), Constraint.GALERKIN)
+        assert aug.k == 1
 
 
 class TestPerCycleRecycler:
