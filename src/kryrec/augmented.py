@@ -116,15 +116,21 @@ def build_augmentation(
         raise DimensionError(f"augmentation basis shape {u.shape} does not match n")
     if u.shape[1] < 1:
         raise ValueError("augmentation basis must have at least one column")
-    if small_pivots(np.diag(np.linalg.qr(u, mode="r")), u).size:
+    # QR of an n x k basis has only min(n, k) diagonal entries: k > n is deficient
+    if u.shape[1] > u.shape[0] or small_pivots(np.diag(np.linalg.qr(u, mode="r")), u).size:
         raise ValueError("rank-deficient augmentation basis")
-
     c = np.column_stack([op(u[:, i]) for i in range(u.shape[1])])
+    return _factored_space(u, c, choice, orthonormalize_c)
+
+
+def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint, orthonormalize_c: bool) -> AugmentationSpace:
+    """The space of a full-rank basis ``u`` and its known image ``c = A u``:
+    :func:`build_augmentation` without the matvecs."""
+    q, rfac = np.linalg.qr(c, mode="reduced")
+    if small_pivots(np.diag(rfac), c).size:
+        raise ValueError("rank-deficient augmentation image (A u)")
     c_orthonormal = False
     if orthonormalize_c:
-        q, rfac = np.linalg.qr(c, mode="reduced")
-        if small_pivots(np.diag(rfac), c).size:
-            raise ValueError("rank-deficient augmentation image (A u)")
         inv_r = scipy.linalg.solve_triangular(
             rfac, np.eye(rfac.shape[0], dtype=rfac.dtype), check_finite=False
         )
@@ -146,7 +152,7 @@ def build_augmentation(
     if cond > SMALL_COND_WARN:
         warnings.warn(
             f"test-space product is ill-conditioned (cond ~ {cond:.2e})",
-            stacklevel=2,
+            stacklevel=3,
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

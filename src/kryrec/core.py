@@ -217,15 +217,16 @@ def dense_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(r, q.conj().T @ b, check_finite=False)
 
 
-def small_eig(h: np.ndarray):
-    """All eigenpairs of a small dense matrix.
+def small_eig(h: np.ndarray, b: np.ndarray | None = None):
+    """All eigenpairs of a small dense matrix, or of the pencil ``h x = theta b x``.
 
     Returns ``(values, vectors)`` with unit-norm eigenvector columns, sorted
-    as returned by the QR algorithm (no ordering guarantee).
+    as returned by the QR (or QZ) algorithm (no ordering guarantee); an
+    infinite eigenvalue of a pencil with singular ``b`` comes back non-finite.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"expected square matrix, got {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or (b is not None and np.shape(b) != h.shape):
+        raise DimensionError(f"expected square matrices of one shape, got {h.shape}")
     if h.shape[0] > SMALL_EIG_CAP:
         raise DimensionError(
             f"eigenproblem size {h.shape[0]} exceeds cap {SMALL_EIG_CAP}"
@@ -233,7 +234,7 @@ def small_eig(h: np.ndarray):
     if h.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
     try:
-        values, vectors = scipy.linalg.eig(h)
+        values, vectors = scipy.linalg.eig(h, b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenSolveError(str(exc)) from exc
     return values, vectors

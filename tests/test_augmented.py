@@ -73,6 +73,22 @@ class TestBuildAugmentation:
             build_augmentation(a, np.eye(4)[:, :1], Constraint.MINRES, orthonormalize_c=True)
         assert not isinstance(exc.value, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
+    def test_more_columns_than_rows_rejected_before_any_matvec(self, choice, ortho):
+        op = as_operator(SparseMatrix.identity(3))
+        u = np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.raises(ValueError, match="rank-deficient augmentation basis"):
+            build_augmentation(op, u, choice, orthonormalize_c=ortho)
+        assert op.matvec_count == 0
+
+    def test_image_annihilated_on_the_galerkin_path_rejected_without_warning(self):
+        # the image check runs before the conditioning warning on both paths;
+        # a stray UserWarning fails the suite
+        a = SparseMatrix.diagonal([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"rank-deficient augmentation image \(A u\)") as exc:
+            build_augmentation(a, np.eye(4)[:, :1], Constraint.GALERKIN)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_image_identity_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)

@@ -176,3 +176,16 @@ class TestSmallEig:
     def test_cap_enforced(self):
         with pytest.raises(DimensionError):
             small_eig(np.eye(513))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pencil_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        h, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8)) + 4 * np.eye(8)
+        values, vectors = small_eig(h, b)
+        for i in range(8):
+            w = vectors[:, i]
+            assert np.linalg.norm(h @ w - values[i] * (b @ w)) <= 1e-10 * np.linalg.norm(h)
+
+    def test_pencil_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            small_eig(np.eye(3), np.eye(2))

@@ -3,7 +3,9 @@ import pytest
 
 from kryrec.arnoldi import ArnoldiDecomposition, arnoldi, as_operator
 from kryrec.augmented import Constraint
+from kryrec.baseline import SolverConfig
 from kryrec.core import SparseMatrix
+from kryrec.io import tridiagonal_matrix
 from kryrec.recycling import (
     RecycleSpec,
     RefreshPolicy,
@@ -70,9 +72,12 @@ class TestExtractRitz:
         dec = arnoldi(a, rng.standard_normal(n), m)
         pairs = extract_ritz(dec, 4)
         ad = a.to_dense()
+        # the complex Ritz vectors lifted from H; a real column of a conjugate
+        # pair reports the residual of its pair's complex vector
+        values, w = np.linalg.eig(dec.h)
         for i in range(4):
-            v = pairs.vectors[:, i]
-            direct = np.linalg.norm(ad @ v - pairs.values[i] * v)
+            z = dec.basis @ w[:, np.argmin(np.abs(values - pairs.values[i]))]
+            direct = np.linalg.norm(ad @ z - pairs.values[i] * z) / np.linalg.norm(z)
             assert direct == pytest.approx(pairs.residuals[i], abs=1e-10)
 
     def test_determinism(self):
@@ -81,6 +86,23 @@ class TestExtractRitz:
         p2 = extract_ritz(dec, 5)
         assert np.array_equal(p1.vectors, p2.vectors)
         assert np.array_equal(p1.values, p2.values)
+
+    @pytest.mark.parametrize("choice", list(Constraint))
+    def test_space_over_a_lucky_breakdown(self, choice):
+        from kryrec.augmented import build_augmentation
+
+        # four distinct eigenvalues: Arnoldi breaks down at step 4, so V has
+        # no (j+1)-th column
+        a = SparseMatrix.diagonal(np.repeat([1.0, 2.0, 3.0, 5.0], 5))
+        dec = arnoldi(a, np.ones(20), 10)
+        assert dec.breakdown == 4 and dec.v.shape == (20, 4)
+        u = np.random.default_rng(0).standard_normal((20, 3))
+        aug = build_augmentation(a, u, choice, orthonormalize_c=choice is Constraint.MINRES)
+        pairs = extract_ritz(dec, 5, Selection.SMALLEST_MAGNITUDE, aug, choice)
+        assert np.linalg.norm(a.to_dense() @ pairs.vectors - pairs.images) <= 1e-12 * a.frobenius_norm()
+        # the Krylov space is invariant, so its smallest eigenpairs are exact
+        assert np.allclose(pairs.values[:2], [1.0, 2.0], atol=1e-12)
+        assert np.max(pairs.residuals[:2]) <= 1e-12
 
     def test_magnitude_ties_broken_by_real_then_imaginary_part(self):
         from kryrec.recycling import _selection_order
@@ -164,4 +186,41 @@ class TestPerCycleRecycler:
         op = as_operator(a)
         aug = cb(op, None, dec)
         assert aug is not None and aug.k == 3
-        assert op.matvec_count == 3
+        # the image comes from the Arnoldi relation, not from the operator
+        assert op.matvec_count == 0
+        assert np.linalg.norm(a.to_dense() @ aug.u - aug.c) <= 1e-12 * a.frobenius_norm()
+
+
+class TestRealOperator:
+    @pytest.mark.parametrize("method", ["rfom", "rgmres"])
+    def test_conjugate_pairs_keep_the_recycled_space_real(self, method):
+        from kryrec.unprojected import unproj_solve
+
+        # a real nonsymmetric operator whose smallest Ritz values come in
+        # conjugate pairs
+        a = tridiagonal_matrix(400, -1.3, 2.0, -0.7)
+        b = np.random.default_rng(0).standard_normal(400)
+        cfg = SolverConfig(20, 1e-8, max_cycles=500)
+        choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
+        ortho = method == "rgmres"
+        first = unproj_solve(a, b, None, None, cfg, method)
+        pairs = extract_ritz(first.final_decomposition, 6, Selection.SMALLEST_MAGNITUDE, None, choice)
+        assert np.count_nonzero(pairs.values.imag) >= 2
+        assert pairs.vectors.dtype == pairs.images.dtype == np.float64
+
+        aug = refresh(a, None, first.final_decomposition, RecycleSpec(k=6), choice, ortho)
+        res = unproj_solve(a, b, None, aug, cfg, method)
+        assert res.converged
+        assert aug.u.dtype == aug.c.dtype == res.x.dtype == np.float64
+
+        spaces = []
+        recycler = per_cycle_recycler(RecycleSpec(k=6, refresh_policy=RefreshPolicy.PER_CYCLE), choice, ortho)
+
+        def recording(op, aug, dec):
+            spaces.append(recycler(op, aug, dec))
+            return spaces[-1]
+
+        res = unproj_solve(a, b, None, None, cfg, method, recycler=recording)
+        assert res.converged and spaces
+        assert all(s.u.dtype == s.c.dtype == np.float64 for s in spaces)
+        assert res.x.dtype == np.float64

@@ -1,0 +1,104 @@
+"""Property tests of the Ritz extraction over ``W = [U V_j]`` over real and
+complex inputs, recycled sizes ``k``, space sizes and cycle lengths ``m``,
+for both constraints."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kryrec.arnoldi import arnoldi
+from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation
+from kryrec.recycling import Selection, extract_ritz
+
+# Bounds relative to ||A||_F; the orthogonality one also to cond(W), since
+# the small matrices are Gram matrices of W's blocks. Over 4,000 seeded draws
+# of ``space_instance`` the largest values seen were 5.0e-15 (image identity)
+# and 1.1e-15 (residual orthogonality; 3.3e-13 unscaled, at cond(W) = 500),
+# so the bounds leave a margin of about 100.
+IMAGE_RTOL = 1e-12
+ORTH_RTOL = 1e-13
+
+
+def draw(rng, shape, complex_):
+    return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+
+
+def space_instance(choice, k_u, m, extra, complex_, seed):
+    """A well-conditioned dense operator of size ``m + k_u + extra``, a
+    random unit-column space ``U`` with its image, and ``m`` Arnoldi steps
+    from a random start. Returns ``(a, aug, dec)``."""
+    rng = np.random.default_rng(seed)
+    n = m + k_u + extra
+    a = draw(rng, (n, n), complex_) / np.sqrt(2 * n if complex_ else n) + 2 * np.eye(n)
+    if k_u == 0:
+        aug = AugmentationSpace.empty(n, choice)
+    else:
+        u = draw(rng, (n, k_u), complex_)
+        u /= np.linalg.norm(u, axis=0)
+        aug = build_augmentation(a, u, choice, orthonormalize_c=choice is Constraint.MINRES)
+    return a, aug, arnoldi(a, draw(rng, n, complex_), m)
+
+
+def residual_groups(pairs, real):
+    """Each column's Ritz value and the columns that carry its vector: the
+    column itself, or both real columns of a conjugate pair."""
+    for i, theta in enumerate(pairs.values):
+        if real and theta.imag != 0:
+            first = i if theta.imag > 0 else i - 1
+            yield theta, pairs.vectors[:, first : first + 2]
+        else:
+            yield theta, pairs.vectors[:, i : i + 1]
+
+
+def worst_residual_against(a, pairs, test_basis, real):
+    """Largest ``min_t ||Q* (A - theta I) X t||`` over the Ritz pairs, with
+    ``Q`` an orthonormal basis of ``test_basis`` and ``t`` a unit vector."""
+    q = np.linalg.qr(test_basis)[0]
+    worst = 0.0
+    for theta, x in residual_groups(pairs, real):
+        x = x / np.linalg.norm(x, axis=0)
+        worst = max(worst, np.linalg.svd(q.conj().T @ (a @ x - theta * x), compute_uv=False)[-1])
+    return worst
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    choice=st.sampled_from([Constraint.GALERKIN, Constraint.MINRES]),
+    k=st.integers(1, 8),
+    k_u=st.integers(0, 8),
+    m=st.sampled_from([1, 2, 5, 12, 30]),
+    extra=st.integers(1, 20),
+    complex_=st.booleans(),
+    selection=st.sampled_from(list(Selection)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ritz_pairs_over_the_whole_search_space(choice, k, k_u, m, extra, complex_, selection, seed):
+    a, aug, dec = space_instance(choice, k_u, m, extra, complex_, seed)
+    k = min(k, k_u + m)
+    pairs = extract_ritz(dec, k, selection, aug, choice)
+    scale = np.linalg.norm(a)
+    # a conjugate pair that does not fit in k is left out whole
+    assert k - (not complex_) <= pairs.vectors.shape[1] <= k
+    assert np.iscomplexobj(pairs.vectors) == complex_
+    # the images read off the Arnoldi relation are the operator's
+    assert np.linalg.norm(a @ pairs.vectors - pairs.images) <= IMAGE_RTOL * scale
+    w = np.column_stack([aug.u, dec.basis])
+    test_basis = w if choice is Constraint.GALERKIN else a @ w
+    # Galerkin residuals are orthogonal to W, harmonic ones to AW
+    bound = ORTH_RTOL * scale * np.linalg.cond(w)
+    assert worst_residual_against(a, pairs, test_basis, not complex_) <= bound
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 5, 12, 30]),
+    extra=st.integers(1, 20),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_galerkin_values_without_a_space_are_the_hessenberg_eigenvalues(m, extra, complex_, seed):
+    a, aug, dec = space_instance(Constraint.GALERKIN, 0, m, extra, complex_, seed)
+    expected = np.sort_complex(np.linalg.eigvals(dec.h))
+    for space in (None, aug):
+        values = extract_ritz(dec, dec.j, Selection.SMALLEST_MAGNITUDE, space).values
+        assert np.allclose(np.sort_complex(values), expected, rtol=0, atol=1e-12 * np.linalg.norm(dec.h))
