@@ -25,6 +25,11 @@ __all__ = [
 # h_{j+1,j} at or below BREAKDOWN_RTOL times the operator scale (norm of the
 # first product) is treated as a lucky breakdown.
 BREAKDOWN_RTOL = 1e-14
+# With reorthogonalization, a step's second projection h2 = V* w is applied
+# only when max|h2| exceeds ORTH_RTOL times ||w||: h2 / ||w|| is, up to
+# rounding, the new vector's inner products with the earlier ones, so every
+# off-diagonal entry of V* V stays at or below about this bound.
+ORTH_RTOL = 2.5e-13
 
 
 class ArnoldiBreakdownError(RuntimeError):
@@ -96,10 +101,14 @@ class ArnoldiDecomposition:
 def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> ArnoldiDecomposition:
     """Run up to ``m`` Arnoldi steps of ``op`` started from ``r``.
 
-    Classical Gram-Schmidt over a row-major basis, applied twice by default
-    (CGS2): each pass is two matrix-vector products against all rows built
-    so far. Stops early with the breakdown flag set when the next
-    subdiagonal entry vanishes relative to the operator scale.
+    Classical Gram-Schmidt over a row-major basis: a projection ``h = V* w``
+    and an update ``w -= V h``, each a matrix-vector product against all rows
+    built so far. By default each step then measures its loss of
+    orthogonality with a second projection ``h2 = V* w`` and applies that
+    update (CGS2) only when ``max|h2| > ORTH_RTOL * ||w||``, which keeps
+    ``max|I - V* V|`` at about ``ORTH_RTOL``. Stops early with the breakdown
+    flag set when the next subdiagonal entry vanishes relative to the
+    operator scale.
 
     Parameters
     ----------
@@ -109,8 +118,9 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
     m : int
         Maximum number of steps, at least 1.
     reorth : bool
-        Run the second Gram-Schmidt pass; without it a single classical pass
-        loses orthogonality on nearly dependent Krylov vectors.
+        Measure each step's second projection and apply its update where it
+        exceeds ``ORTH_RTOL``; without it a single classical pass loses
+        orthogonality on nearly dependent Krylov vectors.
     stop : callable, optional
         ``stop(i, vt, hbar)`` after each step ``i`` without breakdown; true ends the run.
     """
@@ -140,11 +150,18 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
         if j > 0:
             w = op(vt[j]).astype(dtype, copy=True)
         basis = vt[: j + 1]
-        for _ in range(2 if reorth else 1):
-            h = (basis @ w.conj()).conj()
-            hbar[: j + 1, j] += h
-            w -= h @ basis
+        h = (basis @ w.conj()).conj()
+        hbar[: j + 1, j] = h
+        w -= h @ basis
         hnext = np.linalg.norm(w)
+        if reorth:
+            h = (basis @ w.conj()).conj()
+            # a step near breakdown has a tiny ||w||, so its correction is
+            # applied before the breakdown test reads the norm
+            if np.max(np.abs(h)) > ORTH_RTOL * hnext:
+                hbar[: j + 1, j] += h
+                w -= h @ basis
+                hnext = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * scale:
             steps = j + 1
             return ArnoldiDecomposition(

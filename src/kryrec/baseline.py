@@ -55,6 +55,9 @@ class SolverConfig:
 
     ``tol`` is compared against the residual 2-norm: relative to ``||b||``
     when ``tol_mode == 'rel'`` (default), as given when ``'abs'``.
+    ``reorth`` has each Arnoldi step measure its orthogonality with a second
+    Gram-Schmidt projection and apply it where it exceeds
+    ``arnoldi.ORTH_RTOL``; off, every step runs a single classical pass.
     """
 
     cycle_length: int

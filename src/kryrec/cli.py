@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .arnoldi import as_operator
+from .arnoldi import ORTH_RTOL, as_operator
 from .augmented import Constraint
 from .baseline import SolverConfig, restarted_solve
 from .core import check_finite
@@ -61,7 +61,11 @@ def _add_common(p: _Parser):
     p.add_argument("--rhs", default=None, help="ones | random:<seed> | file:<path>")
     p.add_argument("--out", default=None, help="history file (solve) or prefix (compare)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--reorth", choices=("on", "off"), default="on")
+    p.add_argument(
+        "--reorth", choices=("on", "off"), default="on",
+        help=f"on: apply each Arnoldi step's second Gram-Schmidt projection where it exceeds "
+        f"{ORTH_RTOL:g} times the vector's norm; off: one classical pass",
+    )
     p.add_argument("--ritz-select", choices=("mag", "real"), default="mag")
     p.add_argument("--refresh", choices=("system", "cycle"), default="system")
     p.add_argument("--timing", action="store_true", help="record real wall times (breaks byte determinism)")

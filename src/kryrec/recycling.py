@@ -134,11 +134,16 @@ def extract_ritz(
         pivot = g[np.argmax(np.abs(g[:, i])), i]
         if pivot != 0:
             g[:, i] = g[:, i] * (np.conj(pivot) / abs(pivot))
+    # an infinite value (a harmonic one where H is singular) has no Ritz vector
+    order = _selection_order(values, selection)
+    order = order[np.isfinite(values[order])]
+    if len(order) < k:
+        warnings.warn(f"decomposition supports only {len(order)} of {k} requested Ritz vectors", stacklevel=2)
     # on a real problem a conjugate pair is kept whole, as its vector's real and
     # imaginary parts, or left out when it does not fit; its partner comes with it
     real = not np.iscomplexobj(m)
     cols, picked = [], []
-    for i in _selection_order(values, selection):
+    for i in order:
         width = 2 if real and values[i].imag > 0 else 1
         if not (real and values[i].imag < 0) and len(cols) + width <= k:
             cols += [g[:, i].real, g[:, i].imag][:width] if real else [g[:, i]]

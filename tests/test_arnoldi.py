@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kryrec.arnoldi import (
+    ORTH_RTOL,
     ArnoldiBreakdownError,
     OperatorHandle,
     arnoldi,
@@ -9,6 +10,7 @@ from kryrec.arnoldi import (
     as_operator,
 )
 from kryrec.core import DimensionError, SparseMatrix
+from test_acceptance import sparse_random
 
 
 def random_sparse(rng, n, shift=0.0):
@@ -66,6 +68,27 @@ def test_orthonormality_without_reorth(seed):
     assert np.max(np.abs(gram - np.eye(dec.v.shape[1]))) <= 1e-8
 
 
+def test_no_correction_gives_the_single_pass():
+    # a well-separated spectrum and a short cycle: V_j* v_{j+1}, which is each
+    # step's second projection over ||w|| up to rounding, stays far below
+    # ORTH_RTOL, so no update is applied and the result is the single pass's
+    a = SparseMatrix.diagonal(np.arange(1.0, 51.0))
+    single = arnoldi(a, np.ones(50), 6, reorth=False)
+    assert np.max(np.abs(single.v.T @ single.v - np.eye(7))) <= 0.1 * ORTH_RTOL
+    dec = arnoldi(a, np.ones(50), 6, reorth=True)
+    assert np.array_equal(dec.v, single.v)
+    assert np.array_equal(dec.hbar, single.hbar)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_loss_stays_within_orth_rtol(seed):
+    # the operators and start vectors of acceptance criterion 7
+    rng = np.random.default_rng(seed)
+    a = sparse_random(rng, 120)
+    dec = arnoldi(a, rng.standard_normal(120), 24, reorth=True)
+    assert np.max(np.abs(dec.v.T @ dec.v - np.eye(dec.v.shape[1]))) <= 2 * ORTH_RTOL
+
+
 def near_grade_operator(rng, complex_):
     """n=400 normal operator with 8 eigenvalue clusters of width 1e-4 down to
     1e-10: after about 8 steps each new Krylov vector is nearly in the span
@@ -89,6 +112,8 @@ def test_near_grade_spectrum_keeps_orthogonality(complex_):
     gram = dec.v.conj().T @ dec.v
     assert np.max(np.abs(gram - np.eye(dec.v.shape[1]))) <= 1e-12
     assert arnoldi_relation_residual(dec, a) <= 1e-12 * np.linalg.norm(a)
+    # the second update is applied here: the result is not the single pass's
+    assert not np.array_equal(dec.v, arnoldi(a, r, 40, reorth=False).v)
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])

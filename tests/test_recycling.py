@@ -113,6 +113,19 @@ class TestExtractRitz:
         # real-0 pair ordered by imaginary part, then +1
         assert list(values[order]) == [0.5 + 0j, -1.0 + 0j, -1j, 1j, 1.0 + 0j]
 
+    def test_infinite_harmonic_values_left_out(self):
+        # H = [[0]] is singular, so the harmonic pencil's only value is infinite
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        dec = arnoldi(a, np.array([1.0, 0.0]), 1)
+        with pytest.warns(UserWarning, match="supports only 0 of 1 requested Ritz vectors") as record:
+            pairs = extract_ritz(dec, 1, choice=Constraint.MINRES)
+        assert pairs.vectors.shape == (2, 0) and pairs.values.shape == (0,)
+        with pytest.warns(UserWarning, match="supports only 0 of 1 requested Ritz vectors") as more:
+            aug = refresh(a, None, dec, RecycleSpec(k=1), Constraint.MINRES)
+        assert aug.k == 0
+        # no numpy warning escapes alongside the selection's own
+        assert [w.category for w in record.list + more.list] == [UserWarning, UserWarning]
+
 
 class TestRefresh:
     def test_frozen_returns_old_space(self):
