@@ -56,8 +56,9 @@ class Constraint(Enum):
 
 @dataclass
 class AugmentationSpace:
-    """Augmentation basis ``u``, its image ``c = A u`` and the factored
-    k x k test-space product that makes the projector cheap to apply.
+    """Augmentation basis ``u``, its image ``c = A u`` and the k x k test-space
+    product ``small``. The constraint decides the image basis: a MINRES image is
+    orthonormal (``small`` is ``I`` up to rounding); GALERKIN LU-factors ``small``.
 
     Immutable after construction; safe to share between solves.
     """
@@ -65,7 +66,6 @@ class AugmentationSpace:
     u: np.ndarray
     c: np.ndarray
     choice: Constraint
-    c_orthonormal: bool
     small: np.ndarray
     _small_lu: tuple | None
 
@@ -84,10 +84,8 @@ class AugmentationSpace:
 
     def solve_small(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Apply the inverse of the k x k test-space product (or its adjoint)."""
-        if self.k == 0:
-            return np.zeros_like(rhs)
-        if self.c_orthonormal and self.choice is Constraint.MINRES:
-            # the small product is the identity; skip the factored solves
+        if self.k == 0 or self.choice is Constraint.MINRES:
+            # an empty rhs is its own answer, and a MINRES product is the identity
             return rhs
         return scipy.linalg.lu_solve(
             self._small_lu, rhs, trans=2 if adjoint else 0, check_finite=False
@@ -96,19 +94,14 @@ class AugmentationSpace:
     @classmethod
     def empty(cls, n: int, choice: Constraint = Constraint.GALERKIN) -> "AugmentationSpace":
         z = np.zeros((n, 0))
-        return cls(z, z, choice, True, np.zeros((0, 0)), None)
+        return cls(z, z, choice, np.zeros((0, 0)), None)
 
 
-def build_augmentation(
-    a, u: np.ndarray, choice: Constraint, orthonormalize_c: bool = False
-) -> AugmentationSpace:
-    """Form ``c = A u`` (k matvecs), optionally re-basing so the image columns
-    are orthonormal, and factor the k x k test-space product.
-
-    When ``orthonormalize_c`` is set the image is QR-factored, ``c`` becomes
-    the orthonormal factor and ``u`` absorbs the inverse triangular factor so
-    ``c == A u`` is preserved; the residual of that identity is re-validated
-    without further operator applications.
+def build_augmentation(a, u: np.ndarray, choice: Constraint) -> AugmentationSpace:
+    """Form ``c = A u`` (k matvecs) and the space ``choice`` decides: for MINRES
+    the image is QR-factored, ``c`` becomes the orthonormal factor and ``u``
+    absorbs the inverse triangular factor so ``c == A u`` is preserved (re-validated
+    without further matvecs); for GALERKIN ``u`` is kept and ``u* c`` factored.
     """
     op = as_operator(a)
     u = np.asarray(u)
@@ -120,17 +113,16 @@ def build_augmentation(
     if u.shape[1] > u.shape[0] or small_pivots(np.diag(np.linalg.qr(u, mode="r")), u).size:
         raise ValueError("rank-deficient augmentation basis")
     c = np.column_stack([op(u[:, i]) for i in range(u.shape[1])])
-    return _factored_space(u, c, choice, orthonormalize_c)
+    return _factored_space(u, c, choice)
 
 
-def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint, orthonormalize_c: bool) -> AugmentationSpace:
+def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint) -> AugmentationSpace:
     """The space of a full-rank basis ``u`` and its known image ``c = A u``:
     :func:`build_augmentation` without the matvecs."""
     q, rfac = np.linalg.qr(c, mode="reduced")
     if small_pivots(np.diag(rfac), c).size:
         raise ValueError("rank-deficient augmentation image (A u)")
-    c_orthonormal = False
-    if orthonormalize_c:
+    if choice is Constraint.MINRES:
         inv_r = scipy.linalg.solve_triangular(
             rfac, np.eye(rfac.shape[0], dtype=rfac.dtype), check_finite=False
         )
@@ -143,11 +135,10 @@ def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint, orthonorma
             raise ValueError(
                 f"orthonormalization broke the image identity: drift {drift:.3e}"
             )
-        c = q
-        c_orthonormal = True
+        # C* C is I up to rounding; the residual monitor and rgmres read it as is
+        return AugmentationSpace(u, q, choice, q.conj().T @ q, None)
 
-    u_tilde = u if choice is Constraint.GALERKIN else c
-    small = u_tilde.conj().T @ c
+    small = u.conj().T @ c
     cond = np.linalg.cond(small)
     if cond > SMALL_COND_WARN:
         warnings.warn(
@@ -158,9 +149,8 @@ def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint, orthonorma
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         small_lu = scipy.linalg.lu_factor(small, check_finite=False)
     if small_pivots(np.diag(small_lu[0]), small).size:
-        space = "augmentation basis" if choice is Constraint.GALERKIN else "augmentation image"
-        raise SingularMatrixError(0, f"singular test-space product against the {space}")
-    return AugmentationSpace(u, c, choice, c_orthonormal, small, small_lu)
+        raise SingularMatrixError(0, "singular test-space product against the augmentation basis")
+    return AugmentationSpace(u, c, choice, small, small_lu)
 
 
 def apply_complement_projector(aug: AugmentationSpace, v: np.ndarray) -> np.ndarray:

@@ -139,7 +139,6 @@ def _load_family(args) -> ProblemFamily:
 
 def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: RecycleSpec, timing: bool):
     choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
-    ortho = method == "rgmres"
 
     records = []
     summary = []
@@ -152,8 +151,8 @@ def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: Re
             res = restarted_solve(op, b, None, cfg, method)
         else:
             if rspec.refresh_policy is RefreshPolicy.PER_SYSTEM:
-                aug = refresh(op, aug, last_dec, rspec, choice, ortho)
-            res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(rspec, choice, ortho))
+                aug = refresh(op, aug, last_dec, rspec, choice)
+            res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(rspec, choice))
             last_dec = res.final_decomposition
         wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
         # Matvecs spent before the solve loop started (cross-system refresh).

@@ -183,13 +183,19 @@ def _recycled(aug: AugmentationSpace | None, dec: ArnoldiDecomposition, spec: Re
     return build(pairs.vectors[:, keep], pairs.images[:, keep])
 
 
+def _check_orthonormalize_c(choice: Constraint, orthonormalize_c: bool | None) -> None:
+    """``choice`` decides the image basis; the retired ``orthonormalize_c`` may only repeat it."""
+    if orthonormalize_c not in (None, choice is Constraint.MINRES):
+        raise ValueError(f"orthonormalize_c={orthonormalize_c} contradicts {choice}: only MINRES orthonormalizes")
+
+
 def refresh(
     a,
     old_aug: AugmentationSpace | None,
     dec: ArnoldiDecomposition | None,
     spec: RecycleSpec,
     choice: Constraint,
-    orthonormalize_c: bool = False,
+    orthonormalize_c: bool | None = None,
 ) -> AugmentationSpace | None:
     """Rebuild the augmentation space for the operator ``a`` of a new system
     from the latest decomposition and the space ``old_aug`` its cycle ran with.
@@ -200,24 +206,29 @@ def refresh(
     GALERKIN, harmonic for MINRES) are taken, dependent columns dropped, and
     the image recomputed against ``a`` (k matvecs), so recycling across a
     family always validates the image identity against the current operator.
+    ``orthonormalize_c`` is retired: only ``None`` or ``choice is Constraint.MINRES``
+    passes, and it goes once the benchmark's call sites stop passing it.
     """
+    _check_orthonormalize_c(choice, orthonormalize_c)
     if dec is None:
         return old_aug
     op = as_operator(a)
-    return _recycled(old_aug, dec, spec, choice, lambda u, _: build_augmentation(op, u, choice, orthonormalize_c))
+    return _recycled(old_aug, dec, spec, choice, lambda u, _: build_augmentation(op, u, choice))
 
 
-def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: bool = False):
+def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: bool | None = None):
     """Recycler callback for the augmented solve loop.
 
     Returns ``None`` between cycles unless the policy is PER_CYCLE, in which
     case the space is rebuilt like :func:`refresh` does, but over the same
     operator, so the images come from the Arnoldi relation: no matvecs.
+    ``orthonormalize_c`` is checked as in :func:`refresh`, before any cycle runs.
     """
+    _check_orthonormalize_c(choice, orthonormalize_c)
 
     def callback(op, aug, dec):
         if spec.refresh_policy is not RefreshPolicy.PER_CYCLE:
             return None
-        return _recycled(aug, dec, spec, choice, lambda u, c: _factored_space(u, c, choice, orthonormalize_c))
+        return _recycled(aug, dec, spec, choice, lambda u, c: _factored_space(u, c, choice))
 
     return callback

@@ -9,8 +9,8 @@ the cycles are FOM and GMRES in the same floating-point operations.
 
 ``rfom`` imposes a Galerkin constraint against the Krylov space and the
 augmentation basis; ``rgmres`` minimizes the residual over the sum of the
-Krylov space and the augmentation space, assuming the image columns are
-orthonormal.
+Krylov space and the augmentation space, whose minimum-residual image
+columns are orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -102,12 +102,10 @@ def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=
 def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
     """One augmented GMRES cycle on the plain-operator Krylov space (minimum
     residual over the Krylov plus augmentation space), stopped at a residual norm
-    <= ``threshold``; requires orthonormal image columns. Returns ``(y, z, dec, coupling)``."""
-    if aug.k > 0 and not (aug.choice is Constraint.MINRES and aug.c_orthonormal):
-        raise ValueError(
-            "rgmres requires a minimum-residual augmentation space with "
-            "orthonormal image columns"
-        )
+    <= ``threshold``; requires a minimum-residual space, whose image columns are
+    orthonormal. Returns ``(y, z, dec, coupling)``."""
+    if aug.k > 0 and aug.choice is not Constraint.MINRES:
+        raise ValueError("rgmres requires a minimum-residual augmentation space")
     return _augmented_cycle(a, aug, r0, m, reorth, "gmres", threshold)
 
 
@@ -122,12 +120,12 @@ def unproj_solve(
 ) -> AugmentedSolveResult:
     """Restarted unprojected augmented solve.
 
-    ``u0`` seeds the augmentation space (``None`` or zero columns degenerates
-    to the plain restarted method). After each cycle the iterate gains the
-    cycle's Krylov and augmentation corrections and the residual loses both
-    of their images. An optional ``recycler(op, aug, dec)`` callback may
-    replace the augmentation space between cycles; it returns the new space
-    or ``None`` to keep it.
+    ``u0`` seeds the augmentation space (``None`` or a 2-D array of zero
+    columns degenerates to the plain restarted method). After each cycle the
+    iterate gains the cycle's Krylov and augmentation corrections and the
+    residual loses both of their images. An optional ``recycler(op, aug, dec)``
+    callback may replace the augmentation space between cycles; it returns the
+    new space or ``None`` to keep it.
     """
     if method not in ("rfom", "rgmres"):
         raise ValueError(f"method must be 'rfom' or 'rgmres', got {method!r}")
@@ -137,10 +135,10 @@ def unproj_solve(
     choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
     if isinstance(u0, AugmentationSpace):
         aug = u0
-    elif u0 is None or np.asarray(u0).shape[1] == 0:
+    elif u0 is None or np.ndim(u0) == 2 and np.shape(u0)[1] == 0:
         aug = AugmentationSpace.empty(op.dimension, choice)
     else:
-        aug = build_augmentation(op, u0, choice, orthonormalize_c=(method == "rgmres"))
+        aug = build_augmentation(op, u0, choice)
 
     cycle_fn = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
     result = AugmentedSolveResult(

@@ -45,19 +45,19 @@ def sparse_random(rng, n, density=0.05, shift=3.0):
 def oracle_instances():
     """The shared battery: 50 instances over k x j x constraint-choice."""
     grid = [
-        (k, j, choice, ortho)
+        (k, j, choice)
         for k in (1, 4, 8)
         for j in (5, 15)
-        for choice, ortho in ((Constraint.GALERKIN, False), (Constraint.MINRES, True))
+        for choice in (Constraint.GALERKIN, Constraint.MINRES)
     ]
     out = []
     for i in range(50):
-        k, j, choice, ortho = grid[i % len(grid)]
+        k, j, choice = grid[i % len(grid)]
         rng = np.random.default_rng(1000 + i)
         a = sparse_random(rng, 100)
         u = rng.standard_normal((100, k))
         r0 = rng.standard_normal(100)
-        aug = build_augmentation(a, u, choice, orthonormalize_c=ortho)
+        aug = build_augmentation(a, u, choice)
         dec = arnoldi(a, r0, j)
         vt = np.linalg.qr(rng.standard_normal((100, dec.j)))[0]
         av = a.to_dense() @ dec.basis
@@ -109,7 +109,7 @@ def test_criterion_3_residual_minimization_equivalence():
         a = sparse_random(rng, n)
         u = rng.standard_normal((n, k))
         r0 = rng.standard_normal(n)
-        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+        aug = build_augmentation(a, u, Constraint.MINRES)
         y, z, dec, b = unproj_rgmres_cycle(a, aug, r0, m)
         r_new = r0 - dec.v @ (dec.hbar @ y) - aug.c @ z
         cols = np.column_stack([aug.c, a.to_dense() @ dec.basis])

@@ -27,12 +27,19 @@ def well_conditioned(rng, n, complex_values=False):
     return SparseMatrix.from_dense(m + 2 * np.eye(n))
 
 
-def make_instance(seed, n=80, k=4, j=10, choice=Constraint.GALERKIN, ortho=False):
+# Both constraints; each id's flag says whether the space's image is orthonormal.
+CHOICES = [
+    pytest.param(Constraint.GALERKIN, id="Constraint.GALERKIN-False"),
+    pytest.param(Constraint.MINRES, id="Constraint.MINRES-True"),
+]
+
+
+def make_instance(seed, n=80, k=4, j=10, choice=Constraint.GALERKIN):
     rng = np.random.default_rng(seed)
     a = well_conditioned(rng, n)
     u = rng.standard_normal((n, k))
     r0 = rng.standard_normal(n)
-    aug = build_augmentation(a, u, choice, orthonormalize_c=ortho)
+    aug = build_augmentation(a, u, choice)
     dec = arnoldi(a, r0, j)
     return rng, a, aug, dec, r0
 
@@ -48,8 +55,7 @@ class TestBuildAugmentation:
     def test_orthonormalization_preserves_image(self):
         a = SparseMatrix.diagonal([1.0, 2.0])
         u = np.eye(2)
-        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
-        assert aug.c_orthonormal
+        aug = build_augmentation(a, u, Constraint.MINRES)
         assert np.linalg.norm(aug.c.conj().T @ aug.c - np.eye(2)) <= 1e-12
         assert np.linalg.norm(a.to_dense() @ aug.u - aug.c) <= 1e-14
 
@@ -70,15 +76,15 @@ class TestBuildAugmentation:
         # A u = 0: the rgmres path must not leak an untyped LinAlgError
         a = SparseMatrix.diagonal([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match=r"rank-deficient augmentation image \(A u\)") as exc:
-            build_augmentation(a, np.eye(4)[:, :1], Constraint.MINRES, orthonormalize_c=True)
+            build_augmentation(a, np.eye(4)[:, :1], Constraint.MINRES)
         assert not isinstance(exc.value, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
-    def test_more_columns_than_rows_rejected_before_any_matvec(self, choice, ortho):
+    @pytest.mark.parametrize("choice", CHOICES)
+    def test_more_columns_than_rows_rejected_before_any_matvec(self, choice):
         op = as_operator(SparseMatrix.identity(3))
         u = np.random.default_rng(0).standard_normal((3, 4))
         with pytest.raises(ValueError, match="rank-deficient augmentation basis"):
-            build_augmentation(op, u, choice, orthonormalize_c=ortho)
+            build_augmentation(op, u, choice)
         assert op.matvec_count == 0
 
     def test_image_annihilated_on_the_galerkin_path_rejected_without_warning(self):
@@ -95,7 +101,7 @@ class TestBuildAugmentation:
         n, k = 50, 5
         a = well_conditioned(rng, n)
         u = rng.standard_normal((n, k))
-        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+        aug = build_augmentation(a, u, Constraint.MINRES)
         err = np.linalg.norm(a.to_dense() @ aug.u - aug.c)
         scale = a.frobenius_norm() * np.linalg.norm(aug.u)
         assert err <= 1e-12 * scale
@@ -111,9 +117,9 @@ class TestBuildAugmentation:
 
 
 class TestComplementProjector:
-    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
-    def test_annihilates_image(self, choice, ortho):
-        _, _, aug, _, _ = make_instance(0, choice=choice, ortho=ortho)
+    @pytest.mark.parametrize("choice", CHOICES)
+    def test_annihilates_image(self, choice):
+        _, _, aug, _, _ = make_instance(0, choice=choice)
         rng = np.random.default_rng(1)
         w = rng.standard_normal(aug.k)
         v = aug.c @ w
@@ -258,10 +264,10 @@ class TestBlockSystem:
         assert np.allclose(z, np.linalg.solve(m[:2, :2], rhs[:2]))
         assert np.allclose(y, np.linalg.solve(m[2:, 2:], rhs[2:]))
 
-    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
+    @pytest.mark.parametrize("choice", CHOICES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_coupled_equals_decoupled(self, seed, choice, ortho):
-        rng, a, aug, dec, r0 = make_instance(seed, choice=choice, ortho=ortho)
+    def test_coupled_equals_decoupled(self, seed, choice):
+        rng, a, aug, dec, r0 = make_instance(seed, choice=choice)
         av = a.to_dense() @ dec.basis
         vt = np.linalg.qr(rng.standard_normal((aug.n, dec.j)))[0]
         m, rhs = assemble_block_system(aug, av, vt, r0)
@@ -353,14 +359,14 @@ class TestProjectedArnoldi:
         with pytest.raises(ArnoldiBreakdownError):
             projected_arnoldi(a, aug, np.zeros(aug.n), 3)
 
-    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
+    @pytest.mark.parametrize("choice", CHOICES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_extended_relation(self, seed, choice, ortho):
+    def test_extended_relation(self, seed, choice):
         rng = np.random.default_rng(seed)
         n, k, m = 80, 4, 10
         a = well_conditioned(rng, n)
         u = rng.standard_normal((n, k))
-        aug = build_augmentation(a, u, choice, orthonormalize_c=ortho)
+        aug = build_augmentation(a, u, choice)
         r0 = rng.standard_normal(n)
         r_hat, _ = projected_residual(aug, r0)
         dec, b = projected_arnoldi(a, aug, r_hat, m)
@@ -394,10 +400,10 @@ class TestProjectedArnoldi:
 
 
 class TestEquivalenceOracles:
-    @pytest.mark.parametrize("choice,ortho", [(Constraint.GALERKIN, False), (Constraint.MINRES, True)])
+    @pytest.mark.parametrize("choice", CHOICES)
     @pytest.mark.parametrize("seed", range(8))
-    def test_projected_equals_shifted_constraint(self, seed, choice, ortho):
-        rng, a, aug, dec, r0 = make_instance(seed, choice=choice, ortho=ortho)
+    def test_projected_equals_shifted_constraint(self, seed, choice):
+        rng, a, aug, dec, r0 = make_instance(seed, choice=choice)
         av = a.to_dense() @ dec.basis
         vt = np.linalg.qr(rng.standard_normal((aug.n, dec.j)))[0]
         y1 = krylov_correction_projected(aug, av, vt, r0)

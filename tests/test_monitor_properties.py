@@ -53,7 +53,7 @@ def instance(method, k, m, extra, complex_, seed):
     if k == 0:
         return a, AugmentationSpace.empty(n, choice), r0, rng
     u = draw(rng, (n, k), complex_)
-    aug = build_augmentation(a, u / np.linalg.norm(u, axis=0), choice, orthonormalize_c=(method == "rgmres"))
+    aug = build_augmentation(a, u / np.linalg.norm(u, axis=0), choice)
     return a, aug, r0, rng
 
 

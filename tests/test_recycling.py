@@ -97,7 +97,7 @@ class TestExtractRitz:
         dec = arnoldi(a, np.ones(20), 10)
         assert dec.breakdown == 4 and dec.v.shape == (20, 4)
         u = np.random.default_rng(0).standard_normal((20, 3))
-        aug = build_augmentation(a, u, choice, orthonormalize_c=choice is Constraint.MINRES)
+        aug = build_augmentation(a, u, choice)
         pairs = extract_ritz(dec, 5, Selection.SMALLEST_MAGNITUDE, aug, choice)
         assert np.linalg.norm(a.to_dense() @ pairs.vectors - pairs.images) <= 1e-12 * a.frobenius_norm()
         # the Krylov space is invariant, so its smallest eigenpairs are exact
@@ -186,6 +186,26 @@ class TestRefresh:
             aug = refresh(a, None, dec, RecycleSpec(k=2), Constraint.GALERKIN)
         assert aug.k == 1
 
+    @pytest.mark.parametrize("choice", list(Constraint))
+    def test_retired_orthonormalize_c_only_repeats_the_constraint(self, choice):
+        # the benchmark's positional form: refresh(op, None, dec, spec, choice, choice is MINRES)
+        a = SparseMatrix.diagonal(np.arange(1.0, 21.0))
+        dec = arnoldi(a, np.ones(20), 8)
+        op = as_operator(a)
+        spec = RecycleSpec(k=3, refresh_policy=RefreshPolicy.PER_CYCLE)
+        decided = choice is Constraint.MINRES
+        aug = refresh(op, None, dec, spec, choice, decided)
+        default = refresh(op, None, dec, spec, choice)
+        assert np.array_equal(aug.u, default.u) and np.array_equal(aug.c, default.c)
+        rebuilt = per_cycle_recycler(spec, choice, decided)(op, None, dec)
+        assert rebuilt.choice is choice and rebuilt.k == 3
+        before = op.matvec_count
+        with pytest.raises(ValueError, match="orthonormalize_c"):
+            refresh(op, None, dec, spec, choice, not decided)
+        with pytest.raises(ValueError, match="orthonormalize_c"):
+            per_cycle_recycler(spec, choice, not decided)
+        assert op.matvec_count == before
+
 
 class TestPerCycleRecycler:
     def test_noop_unless_per_cycle(self):
@@ -215,19 +235,18 @@ class TestRealOperator:
         b = np.random.default_rng(0).standard_normal(400)
         cfg = SolverConfig(20, 1e-8, max_cycles=500)
         choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
-        ortho = method == "rgmres"
         first = unproj_solve(a, b, None, None, cfg, method)
         pairs = extract_ritz(first.final_decomposition, 6, Selection.SMALLEST_MAGNITUDE, None, choice)
         assert np.count_nonzero(pairs.values.imag) >= 2
         assert pairs.vectors.dtype == pairs.images.dtype == np.float64
 
-        aug = refresh(a, None, first.final_decomposition, RecycleSpec(k=6), choice, ortho)
+        aug = refresh(a, None, first.final_decomposition, RecycleSpec(k=6), choice)
         res = unproj_solve(a, b, None, aug, cfg, method)
         assert res.converged
         assert aug.u.dtype == aug.c.dtype == res.x.dtype == np.float64
 
         spaces = []
-        recycler = per_cycle_recycler(RecycleSpec(k=6, refresh_policy=RefreshPolicy.PER_CYCLE), choice, ortho)
+        recycler = per_cycle_recycler(RecycleSpec(k=6, refresh_policy=RefreshPolicy.PER_CYCLE), choice)
 
         def recording(op, aug, dec):
             spaces.append(recycler(op, aug, dec))

@@ -35,7 +35,7 @@ def space_instance(choice, k_u, m, extra, complex_, seed):
     else:
         u = draw(rng, (n, k_u), complex_)
         u /= np.linalg.norm(u, axis=0)
-        aug = build_augmentation(a, u, choice, orthonormalize_c=choice is Constraint.MINRES)
+        aug = build_augmentation(a, u, choice)
     return a, aug, arnoldi(a, draw(rng, n, complex_), m)
 
 

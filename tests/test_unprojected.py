@@ -12,7 +12,7 @@ from kryrec.augmented import (
     z_correction,
 )
 from kryrec.baseline import SolverConfig, gmres_cycle, restarted_solve
-from kryrec.core import SparseMatrix
+from kryrec.core import DimensionError, SparseMatrix
 from kryrec.io import tridiagonal_matrix
 from kryrec.unprojected import (
     AugmentedSolveResult,
@@ -40,7 +40,7 @@ def rgmres_instance(seed, n=60, k=5, m=8):
     a = well_conditioned(rng, n)
     u = rng.standard_normal((n, k))
     r0 = rng.standard_normal(n)
-    aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+    aug = build_augmentation(a, u, Constraint.MINRES)
     return a, aug, r0
 
 
@@ -142,7 +142,7 @@ class TestRgmresCycle:
         n = 12
         a = SparseMatrix.diagonal(np.arange(1.0, n + 1))
         u = np.eye(n)[:, 10:]
-        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+        aug = build_augmentation(a, u, Constraint.MINRES)
         r0 = np.zeros(n)
         r0[:6] = np.random.default_rng(2).standard_normal(6)
         y, z, dec, b = unproj_rgmres_cycle(a, aug, r0, 4)
@@ -159,12 +159,12 @@ class TestRgmresCycle:
 
         a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
         e1 = np.eye(6)[0]
-        aug = build_augmentation(a, e1[:, None], Constraint.MINRES, orthonormalize_c=True)
+        aug = build_augmentation(a, e1[:, None], Constraint.MINRES)
         with pytest.raises(RankDeficientError):
             unproj_rgmres_cycle(a, aug, e1, 4)
 
     def test_requires_orthonormal_image(self):
-        a, aug, r0 = rfom_instance(0)  # Galerkin, not orthonormalized
+        a, aug, r0 = rfom_instance(0)  # a Galerkin space
         with pytest.raises(ValueError):
             unproj_rgmres_cycle(a, aug, r0, 5)
 
@@ -217,7 +217,7 @@ def test_cycle_z_is_the_z_correction_oracle(method, dtype):
         aug = build_augmentation(a, u, Constraint.GALERKIN)
         y, z, dec, b = unproj_rfom_cycle(a, aug, r0, 8)
     else:
-        aug = build_augmentation(a, u, Constraint.MINRES, orthonormalize_c=True)
+        aug = build_augmentation(a, u, Constraint.MINRES)
         y, z, dec, b = unproj_rgmres_cycle(a, aug, r0, 8)
     assert np.array_equal(z, z_correction(aug, y, r0, b))
 
@@ -345,6 +345,9 @@ class TestUnprojSolve:
         a = tridiagonal_matrix(10)
         with pytest.raises(ValueError):
             unproj_solve(a, np.ones(10), None, None, SolverConfig(2, 1e-8), "cg")
+        # a 1-D seed is not the empty space: its shape is rejected before any matvec
+        with pytest.raises(DimensionError):
+            unproj_solve(a, np.ones(10), None, np.ones(10), SolverConfig(2, 1e-8), "rfom")
 
     def test_exact_smallest_eigenvectors_accelerate_fom(self):
         # second-difference operator has analytic eigenpairs:

@@ -34,7 +34,7 @@ def cycle_instance(method, k, m, extra, complex_, seed):
     else:
         u = draw(rng, (n, k), complex_)
         u /= np.linalg.norm(u, axis=0)
-        aug = build_augmentation(a, u, choice, orthonormalize_c=(method == "rgmres"))
+        aug = build_augmentation(a, u, choice)
     cycle = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
     return a, aug, r0, cycle(a, aug, r0, m)
 
