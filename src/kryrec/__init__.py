@@ -63,6 +63,7 @@ from .recycling import (
     extract_ritz,
     per_cycle_recycler,
     refresh,
+    solve_family,
 )
 from .unprojected import (
     AugmentedSolveResult,

@@ -1,9 +1,9 @@
 """Command-line driver.
 
 ``kryrec solve`` runs one method on one system; ``kryrec compare`` runs
-several methods over a problem family (recycling the augmentation space
-across systems where the method supports it) and writes one history file per
-method.
+several methods over a problem family (``rfom`` and ``rgmres`` through
+:func:`kryrec.recycling.solve_family`, which recycles the augmentation space
+across systems) and writes one history file per method.
 
 Wall-clock times are written as 0.0 unless ``--timing`` is given, so that
 identical arguments and seed produce byte-identical history files.
@@ -17,25 +17,11 @@ import time
 
 import numpy as np
 
-from .arnoldi import ORTH_RTOL, as_operator
-from .augmented import Constraint
+from .arnoldi import ORTH_RTOL
 from .baseline import SolverConfig, restarted_solve
 from .core import check_finite
-from .io import (
-    ConvergenceRecord,
-    ProblemFamily,
-    generate_family,
-    read_matrix_market,
-    write_history,
-)
-from .recycling import (
-    RecycleSpec,
-    RefreshPolicy,
-    Selection,
-    per_cycle_recycler,
-    refresh,
-)
-from .unprojected import unproj_solve
+from .io import ConvergenceRecord, ProblemFamily, generate_family, read_matrix_market, write_history
+from .recycling import RecycleSpec, solve_family
 
 __all__ = ["main", "cli_main"]
 
@@ -138,33 +124,21 @@ def _load_family(args) -> ProblemFamily:
 
 
 def _run_method(method: str, family: ProblemFamily, cfg: SolverConfig, rspec: RecycleSpec, timing: bool):
-    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
-
-    records = []
-    summary = []
-    aug = None
-    last_dec = None
-    for a, b, label in family:
-        op = as_operator(a)
+    if method in ("fom", "gmres"):
+        solves = ((restarted_solve(a, b, None, cfg, method), 0) for a, b, _ in family)
+    else:
+        solves = solve_family(family, method, cfg, rspec)
+    records, summary = [], []
+    for _, b, label in family:
         t0 = time.perf_counter()
-        if method in ("fom", "gmres"):
-            res = restarted_solve(op, b, None, cfg, method)
-        else:
-            if rspec.refresh_policy is RefreshPolicy.PER_SYSTEM:
-                aug = refresh(op, aug, last_dec, rspec, choice)
-            res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(rspec, choice))
-            last_dec = res.final_decomposition
+        res, refresh_matvecs = next(solves)
         wall = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-        # Matvecs spent before the solve loop started (cross-system refresh).
-        offset = op.matvec_count - res.matvec_count
         records.extend(
-            ConvergenceRecord(method, label, cycle, offset + mv, norm, wall)
+            ConvergenceRecord(method, label, cycle, refresh_matvecs + mv, norm, wall)
             for (cycle, _, norm), mv in zip(res.residual_history, res.history_matvecs)
         )
         final_rel = res.final_residual_norm / max(np.linalg.norm(b), 1e-300)
-        summary.append(
-            (method, label, res.cycles_used, op.matvec_count, final_rel, res.converged)
-        )
+        summary.append((method, label, res.cycles_used, refresh_matvecs + res.matvec_count, final_rel, res.converged))
     return records, summary
 
 
@@ -189,11 +163,7 @@ def cli_main(argv=None) -> int:
             reorth=args.reorth == "on",
             tol_mode=args.tol_mode,
         )
-        rspec = RecycleSpec(
-            k=args.recycle_dim,
-            selection=Selection.SMALLEST_MAGNITUDE if args.ritz_select == "mag" else Selection.SMALLEST_REAL,
-            refresh_policy=RefreshPolicy(args.refresh),
-        )
+        rspec = RecycleSpec(k=args.recycle_dim, selection=args.ritz_select, refresh_policy=args.refresh)
         family = _load_family(args)
         if args.command == "solve":
             methods = [args.method]

@@ -1,7 +1,7 @@
-"""Ritz-vector harvesting and augmentation-space refresh.
+"""Ritz-vector harvesting, augmentation-space refresh and the family solve.
 
-The space for the next cycle or the next system in a family comes from a
-finished cycle: ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)``, for the space
+A finished cycle gives the space for the next cycle or, in :func:`solve_family`,
+the next system: ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)``, for the space
 ``U`` it ran with and its Arnoldi decomposition, gives Ritz pairs over the
 whole search space (standard for the Galerkin constraint, harmonic for the
 minimum-residual one) and their images, so a refresh within one solve spends
@@ -20,7 +20,9 @@ import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, as_operator
 from .augmented import AugmentationSpace, Constraint, _factored_space, build_augmentation
+from .baseline import SolverConfig
 from .core import PIVOT_RTOL, small_eig
+from .unprojected import unproj_solve
 
 # A direction of U outside span(V_j) is kept when its squared norm relative to
 # U's unit-scaled columns exceeds this: a Gram difference resolves about 1e-16.
@@ -34,6 +36,7 @@ __all__ = [
     "extract_ritz",
     "refresh",
     "per_cycle_recycler",
+    "solve_family",
 ]
 
 
@@ -49,7 +52,10 @@ class RefreshPolicy(Enum):
 
 @dataclass
 class RecycleSpec:
-    """How many Ritz vectors to keep, picked how, refreshed when."""
+    """How many Ritz vectors to keep (``k >= 0``), picked how, refreshed when.
+    ``selection`` takes a :class:`Selection` or its value (``"mag"``, ``"real"``),
+    ``refresh_policy`` a :class:`RefreshPolicy` or its value (``"system"``,
+    ``"cycle"``); anything else raises ``ValueError``."""
 
     k: int
     selection: Selection = Selection.SMALLEST_MAGNITUDE
@@ -58,6 +64,8 @@ class RecycleSpec:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        self.selection = Selection(self.selection)
+        self.refresh_policy = RefreshPolicy(self.refresh_policy)
 
 
 class RitzPairs(NamedTuple):
@@ -232,3 +240,23 @@ def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: 
         return _recycled(aug, dec, spec, choice, lambda u, c: _factored_space(u, c, choice))
 
     return callback
+
+
+def solve_family(systems, method: str, cfg: SolverConfig, spec: RecycleSpec):
+    """Solve the ``(a, b, label)`` systems in turn with ``"rfom"`` or ``"rgmres"``,
+    yielding ``(result, refresh_matvecs)`` for each. Under PER_SYSTEM, :func:`refresh`
+    first rebuilds the space from the previous solve's final decomposition against the
+    new operator, spending ``refresh_matvecs`` (0 on the first system), which
+    ``result.matvec_count`` leaves out. Every solve gets :func:`per_cycle_recycler`,
+    which rebuilds the space between cycles only under PER_CYCLE."""
+    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
+    aug = dec = None
+    for a, b, _ in systems:
+        op = as_operator(a)
+        start = op.matvec_count
+        if spec.refresh_policy is RefreshPolicy.PER_SYSTEM:
+            aug = refresh(op, aug, dec, spec, choice)
+        refresh_matvecs = op.matvec_count - start
+        res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(spec, choice))
+        dec = res.final_decomposition
+        yield res, refresh_matvecs

@@ -191,7 +191,7 @@ class TestCompare:
             solves.append((op, res, start, inner_counts, end_counts))
             return res
 
-        with mock.patch.object(kryrec.cli, "unproj_solve", spy):
+        with mock.patch.object(kryrec.recycling, "unproj_solve", spy):
             code = run(
                 ["compare", "--family", "tridiag:n=32,count=1", "--methods", "rfom,rgmres",
                  "-m", "8", "-k", "3", "--refresh", "cycle", "--tol", "1e-8",

@@ -5,7 +5,7 @@ from kryrec.arnoldi import ArnoldiDecomposition, arnoldi, as_operator
 from kryrec.augmented import Constraint
 from kryrec.baseline import SolverConfig
 from kryrec.core import SparseMatrix
-from kryrec.io import tridiagonal_matrix
+from kryrec.io import generate_family, tridiagonal_matrix
 from kryrec.recycling import (
     RecycleSpec,
     RefreshPolicy,
@@ -13,7 +13,9 @@ from kryrec.recycling import (
     extract_ritz,
     per_cycle_recycler,
     refresh,
+    solve_family,
 )
+from kryrec.unprojected import unproj_solve
 
 
 def full_grade_decomposition():
@@ -21,6 +23,35 @@ def full_grade_decomposition():
     a = SparseMatrix.diagonal(np.arange(1.0, 11.0))
     r = np.ones(10)
     return a, arnoldi(a, r, 10)
+
+
+class TestRecycleSpec:
+    def test_values_behave_like_members(self):
+        spec = RecycleSpec(k=3, selection="mag", refresh_policy="cycle")
+        assert spec.selection is Selection.SMALLEST_MAGNITUDE
+        assert spec.refresh_policy is RefreshPolicy.PER_CYCLE
+        # a string kept as is would sort by real part and pick -3 and -2 first
+        a = SparseMatrix.diagonal(np.concatenate([[-3.0, -2.0], np.linspace(0.01, 5.0, 198)]))
+        dec = arnoldi(a, np.ones(200), 20)
+        from_value = refresh(a, None, dec, RecycleSpec(k=3, selection="mag"), Constraint.GALERKIN)
+        from_member = refresh(a, None, dec, RecycleSpec(k=3), Constraint.GALERKIN)
+        assert np.array_equal(from_value.u, from_member.u)
+        assert np.all(np.abs(np.diag(from_value.u.T @ a.to_dense() @ from_value.u)) < 1.0)
+        # and would never match PER_CYCLE, so the space would stay empty
+        a = tridiagonal_matrix(200, -1.3, 2.0, -0.7)
+        b = np.random.default_rng(0).standard_normal(200)
+        cfg = SolverConfig(20, 1e-8, max_cycles=500)
+        runs = []
+        for policy in ("cycle", RefreshPolicy.PER_CYCLE):
+            recycler = per_cycle_recycler(RecycleSpec(k=4, refresh_policy=policy), Constraint.MINRES)
+            runs.append(unproj_solve(a, b, None, None, cfg, "rgmres", recycler=recycler))
+        assert runs[0].k_used == runs[1].k_used == 4
+        assert np.array_equal(runs[0].x, runs[1].x) and runs[0].matvec_count == runs[1].matvec_count
+
+    @pytest.mark.parametrize("field", ["selection", "refresh_policy"])
+    def test_unknown_value_rejected(self, field):
+        with pytest.raises(ValueError, match="bogus"):
+            RecycleSpec(k=3, **{field: "bogus"})
 
 
 class TestExtractRitz:
@@ -256,3 +287,50 @@ class TestRealOperator:
         assert res.converged and spaces
         assert all(s.u.dtype == s.c.dtype == np.float64 for s in spaces)
         assert res.x.dtype == np.float64
+
+
+def reference_family_loop(family, method, cfg, rspec):
+    """The family loop as the CLI wrote it inline, kept as the reference for
+    :func:`solve_family`; yields each result with the matvecs spent outside it."""
+    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
+    aug = None
+    last_dec = None
+    for a, b, label in family:
+        op = as_operator(a)
+        if rspec.refresh_policy is RefreshPolicy.PER_SYSTEM:
+            aug = refresh(op, aug, last_dec, rspec, choice)
+        res = unproj_solve(op, b, None, aug, cfg, method, recycler=per_cycle_recycler(rspec, choice))
+        last_dec = res.final_decomposition
+        # Matvecs spent before the solve loop started (cross-system refresh).
+        offset = op.matvec_count - res.matvec_count
+        yield res, offset
+
+
+class TestSolveFamily:
+    @pytest.mark.parametrize("kind", ["shifted", "perturbed"])
+    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("policy", list(RefreshPolicy))
+    @pytest.mark.parametrize("method", ["rfom", "rgmres"])
+    def test_matches_the_reference_loop(self, method, policy, k, kind):
+        family = generate_family(kind, 200, 3)
+        cfg = SolverConfig(15, 1e-8, max_cycles=60)
+        rspec = RecycleSpec(k=k, refresh_policy=policy)
+        pairs = list(zip(solve_family(family, method, cfg, rspec), reference_family_loop(family, method, cfg, rspec)))
+        assert len(pairs) == 3
+        for i, ((res, spent), (ref, ref_spent)) in enumerate(pairs):
+            assert np.array_equal(res.x, ref.x)
+            assert np.array_equal(res.residual_history, ref.residual_history)
+            assert np.array_equal(res.history_matvecs, ref.history_matvecs)
+            assert spent == ref_spent
+            recycled = i > 0 and k > 0 and policy is RefreshPolicy.PER_SYSTEM
+            assert spent == (k if recycled else 0)
+
+    def test_refresh_matvecs_leave_out_earlier_applications(self):
+        # the second system's operator handle has already counted a matvec
+        family = generate_family("shifted", 200, 2)
+        op = as_operator(family.systems[1][0])
+        op(np.ones(200))
+        systems = [family.systems[0], (op, family.systems[1][1], "used")]
+        cfg = SolverConfig(15, 1e-8, max_cycles=60)
+        spent = [s for _, s in solve_family(systems, "rfom", cfg, RecycleSpec(k=4))]
+        assert spent == [0, 4]

@@ -3,12 +3,13 @@ complex inputs, recycled sizes ``k``, space sizes and cycle lengths ``m``,
 for both constraints."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kryrec.arnoldi import arnoldi
 from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation
-from kryrec.recycling import Selection, extract_ritz
+from kryrec.recycling import GRAM_RTOL, Selection, extract_ritz
 
 # Bounds relative to ||A||_F; the orthogonality one also to cond(W), since
 # the small matrices are Gram matrices of W's blocks. Over 4,000 seeded draws
@@ -102,3 +103,37 @@ def test_galerkin_values_without_a_space_are_the_hessenberg_eigenvalues(m, extra
     for space in (None, aug):
         values = extract_ritz(dec, dec.j, Selection.SMALLEST_MAGNITUDE, space).values
         assert np.allclose(np.sort_complex(values), expected, rtol=0, atol=1e-12 * np.linalg.norm(dec.h))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("choice", list(Constraint))
+@pytest.mark.parametrize("complex_", [False, True])
+def test_space_near_the_krylov_space(eps, choice, complex_):
+    """``U = V_j X + eps N`` with unit-column ``X`` and ``N``, so U's part
+    outside span(V_j) has norm about ``eps``. Where that part is kept
+    (``eps**2 > GRAM_RTOL``) its image is ``C - V_{j+1} Hbar E_j``, which
+    cancels down to ``eps``, so the image identity and the orthogonality lose
+    a factor of about ``1/eps``; below the threshold the part is dropped, the
+    pairs are those of ``V_j`` alone and ``U`` is only orthogonal to ``eps``."""
+    n, m = 300, 20
+    loss = 1e-2 / eps if eps**2 > GRAM_RTOL else 1.0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = draw(rng, (n, n), complex_) / np.sqrt(2 * n if complex_ else n) + 2 * np.eye(n)
+        dec = arnoldi(a, draw(rng, n, complex_), m)
+        x, noise = draw(rng, (dec.j, 4), complex_), draw(rng, (n, 4), complex_)
+        u = dec.basis @ (x / np.linalg.norm(x, axis=0)) + eps * noise / np.linalg.norm(noise, axis=0)
+        aug = build_augmentation(a, u, choice)
+        pairs = extract_ritz(dec, 4, Selection.SMALLEST_MAGNITUDE, aug, choice)
+        assert np.linalg.norm(a @ pairs.vectors - pairs.images) <= 1e-14 * loss * np.linalg.norm(a)
+        if not complex_:
+            continue  # a real conjugate pair's columns are not eigenvector residuals
+        r = pairs.images - pairs.vectors * pairs.values
+        r_norms = np.linalg.norm(r, axis=0)
+        assert np.max(np.abs(r_norms - pairs.residuals)) <= 1e-13
+        # Galerkin residuals are orthogonal to V_j and U, harmonic ones to A V_j and C
+        krylov, space = (dec.basis, aug.u) if choice is Constraint.GALERKIN else (a @ dec.basis, aug.c)
+        q = np.linalg.qr(krylov)[0]
+        assert np.max(np.linalg.norm(q.conj().T @ r, axis=0) / r_norms) <= 1e-11 * loss
+        space = space / np.linalg.norm(space, axis=0)
+        assert np.max(np.abs(space.conj().T @ r) / r_norms) <= eps
