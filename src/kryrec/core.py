@@ -70,6 +70,21 @@ def _as_scalar_array(values, name="values") -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _as_index_array(name: str, indices) -> np.ndarray:
+    """``indices`` as an integer array: integers of any width as given, and
+    integral floats (an empty list included) as int64; a fractional, bool or
+    complex index is refused rather than truncated."""
+    a = np.asarray(indices)
+    if a.dtype.kind in "iu":
+        return a
+    if a.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail below
+            ints = a.astype(np.int64)
+        if np.array_equal(ints, a):
+            return ints
+    raise ValueError(f"{name} must hold integer values, got dtype {a.dtype}")
+
+
 @dataclass
 class SparseMatrix:
     """Sparse operator in compressed sparse row form.
@@ -77,6 +92,14 @@ class SparseMatrix:
     ``row_offsets`` has length ``n_rows + 1``, is nondecreasing and brackets
     the ``col_indices``/``values`` slice of each row. Values may be real or
     complex double precision.
+
+    The stored ``row_offsets``, ``col_indices`` and ``values`` are the arrays
+    :func:`spmv` reads (scipy's CSR ``indptr``, ``indices`` and ``data``), held
+    once and shared with it, and with the caller where no conversion was
+    needed; they are read-only by contract. Indices are int32 when every index
+    and ``max(n_rows, n_cols)`` fit in int32, and int64 otherwise; integer input
+    of any width is taken without an int64 copy, and integral floats are
+    converted, but fractional, bool or complex indices raise ``ValueError``.
     """
 
     n_rows: int
@@ -86,34 +109,34 @@ class SparseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
+        offsets = _as_index_array("row_offsets", self.row_offsets)
+        cols = _as_index_array("col_indices", self.col_indices)
         self.values = check_finite("values", _as_scalar_array(self.values))
-        if self.row_offsets.shape != (self.n_rows + 1,):
+        if offsets.shape != (self.n_rows + 1,):
             raise DimensionError(
                 f"row_offsets must have length n_rows+1={self.n_rows + 1}, "
-                f"got {self.row_offsets.shape[0]}"
+                f"got {offsets.shape[0]}"
             )
-        if self.row_offsets[0] != 0 or np.any(np.diff(self.row_offsets) < 0):
+        # compared, not differenced, so unsigned offsets cannot wrap
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("row_offsets must start at 0 and be nondecreasing")
-        nnz = int(self.row_offsets[-1])
-        if self.col_indices.shape != (nnz,) or self.values.shape != (nnz,):
+        nnz = int(offsets[-1])
+        if cols.shape != (nnz,) or self.values.shape != (nnz,):
             raise DimensionError("col_indices/values length must match row_offsets[-1]")
-        if nnz and (self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols):
+        if nnz and (cols.min() < 0 or cols.max() >= self.n_cols):
             raise ValueError("col_indices out of range")
         self._csr = scipy.sparse.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
+            (self.values, cols, offsets), shape=(self.n_rows, self.n_cols)
         )
+        self.row_offsets, self.col_indices = self._csr.indptr, self._csr.indices
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
         """Build from triplets; duplicate entries are summed."""
-        m = scipy.sparse.coo_matrix(
-            (_as_scalar_array(vals), (rows, cols)), shape=shape
-        ).tocsr()
+        coords = (_as_index_array("rows", rows), _as_index_array("cols", cols))
+        m = scipy.sparse.coo_matrix((_as_scalar_array(vals), coords), shape=shape).tocsr()
         m.sum_duplicates()
         return cls(shape[0], shape[1], m.indptr, m.indices, m.data)
 

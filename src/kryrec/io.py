@@ -31,10 +31,12 @@ __all__ = [
 ]
 
 # np.loadtxt reads a body of only these bytes exactly as the per-line loop does
-_NUMERIC_BODY = b"0123456789+-.eE \t\r\n"
+_NUMERIC_BODY = b"0123456789+-.eE \t\n"
 # a whole-line comment that str.splitlines does not break (dropped with the \n before it)
-_COMMENT_LINE = re.compile(rb"\n[ \t]*%[^\n\r\x0b\x0c\x1c-\x1e]*(?=\r?\n|\Z)")
-_HEAD = re.compile(r"[^\n]*\n?(?:[^\S\n]*(?:%[^\n]*)?\n)*[^\n]*\n?")  # header, comments, size line
+_COMMENT_LINE = re.compile(rb"\n[ \t]*%[^\n\x0b\x0c\x1c-\x1e]*(?=\n|\Z)")
+# header, comments, size line, in bytes with every \r already read as \n;
+# [ \t\x0b\x0c\x1c-\x1f] is the rest of str.isspace()
+_HEAD = re.compile(rb"[^\n]*\n?(?:[ \t\x0b\x0c\x1c-\x1f]*(?:%[^\n]*)?\n)*[^\n]*\n?")
 HISTORY_COLUMNS = ["solver", "system_label", "cycle", "matvecs", "residual_norm", "wall_time_ms"]
 
 
@@ -95,10 +97,21 @@ def read_matrix_market(path) -> SparseMatrix:
     parses a body of plain numbers; the per-line loop, which gives every error
     its line number, parses any body that reader or its checks refuse.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    cut = _HEAD.match(text).end()
-    lines = text[:cut].splitlines()  # a prefix of text.splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        bad = re.search(rb"[\x80-\xff]", data).start()
+        # its line as the loop counts lines: one more than the breaks before it
+        raise MatrixMarketError(
+            f"non-ASCII byte {data[bad]:#04x}", len((data[:bad].decode("ascii") + ".").splitlines())
+        )
+    if b"\r" in data:  # text mode's newlines: \r\n, then any other \r, read as \n
+        data = data.replace(b"\r\n", b"\n")
+        data = data.replace(b"\r", b"\n")
+    cut = _HEAD.match(data).end()
+    lines = data[:cut].decode("ascii").splitlines()  # a prefix of the file's str.splitlines()
+    body = [data[cut:]]  # the rest, held once: _numeric_body empties the list
+    del data
     if not lines:
         raise MatrixMarketError("empty file", 1)
     header = lines[0].strip().split()
@@ -130,12 +143,13 @@ def read_matrix_market(path) -> SparseMatrix:
     complex_vals = fieldtype == "complex"
     if idx == len(lines) - 1:  # else str.splitlines saw more breaks than _HEAD
         try:
-            coo = _numeric_body(text[cut:].encode("ascii"), complex_vals, symmetry, n_rows, n_cols, nnz)
+            coo = _numeric_body(body, complex_vals, symmetry, n_rows, n_cols, nnz)
         except (ValueError, Warning):
             pass
         else:
             return SparseMatrix.from_coo(*coo, (n_rows, n_cols))
-    lines = text.splitlines()
+    # the head ends at a \n or at the end of the file, so the two splits join
+    lines += body.pop().decode("ascii").splitlines()
     rows, cols, vals = [], [], []
     seen = 0
     for line_no in range(idx + 1, len(lines)):
@@ -172,25 +186,34 @@ def read_matrix_market(path) -> SparseMatrix:
     return SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
 
 
-def _numeric_body(body: bytes, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
-    """The loop's COO triplets, read by np.loadtxt; raises ``ValueError`` or a
-    warning where the loop must decide."""
-    body = _COMMENT_LINE.sub(b"", b"\n" + body) if b"%" in body else body
-    if body.translate(None, _NUMERIC_BODY):
+def _numeric_body(body: list, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
+    """The loop's COO triplets, read by np.loadtxt from ``body``, a list holding
+    the bytes after the size line. Raises ``ValueError`` or a warning where the
+    loop must decide; once it cannot, empties ``body``, and drops every array
+    as soon as the next one is built, so each stage is held once."""
+    data = body[0]
+    if b"%" in data:
+        data = _COMMENT_LINE.sub(b"", b"\n" + data)
+    if data.translate(None, _NUMERIC_BODY):
         raise ValueError("body is not plain numbers")
     dtype = [("i", np.int64), ("j", np.int64), ("v", np.float64, (1 + complex_vals,))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty body only warns
-        e = np.loadtxt(io.BytesIO(body), dtype=dtype, ndmin=1)
+        e = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1)
     i, j = e["i"] - 1, e["j"] - 1
     if len(e) != nnz or not np.all((i >= 0) & (i < n_rows) & (j >= 0) & (j < n_cols)):
         raise ValueError("entry count or index out of range")
+    body.clear()
+    del data
     # (re, im) pairs reinterpreted, so every bit is the parsed one
     vals = np.ascontiguousarray(e["v"]).view(np.complex128 if complex_vals else np.float64)[:, 0]
+    del e
     if symmetry == "symmetric":
         # each entry then its mirror, the loop's order, so duplicates sum alike
         reps = 1 + (i != j)
-        i, j, vals = np.repeat(i, reps), np.repeat(j, reps), np.repeat(vals, reps)
+        i = np.repeat(i, reps)
+        j = np.repeat(j, reps)
+        vals = np.repeat(vals, reps)
         mirror = np.cumsum(reps)[reps == 2] - 1
         i[mirror], j[mirror] = j[mirror], i[mirror]
     return i, j, vals

@@ -41,6 +41,13 @@ class TestSolve:
         assert code == 1
         assert "does_not_exist.mtx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [b"% caf\xc3\xa9", b"1 1 1.0\xb5"], ids=["comment", "entry"])
+    def test_non_ascii_matrix_exits_1(self, tmp_path, capsys, line):
+        p = tmp_path / "m.mtx"
+        p.write_bytes(b"%%MatrixMarket matrix coordinate real general\n1 1 1\n" + line + b"\n")
+        assert run(["solve", "--matrix", str(p), "--method", "gmres"]) == 1
+        assert capsys.readouterr().err.startswith("kryrec: error: non-ASCII byte")
+
     def test_unknown_flag_exits_1(self, capsys):
         code = run(["solve", "--matrix", "x.mtx", "--method", "fom", "--bogus"])
         assert code == 1

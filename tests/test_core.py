@@ -65,6 +65,59 @@ class TestSparseMatrix:
         a = SparseMatrix.from_dense(np.array([[1j, 0], [0, 2]]))
         assert np.allclose(spmv(a, np.array([1.0, 1.0])), [1j, 2.0])
 
+    @pytest.mark.parametrize(
+        "offsets,cols",
+        [
+            ([0.0, 2.5, 3.0], [0, 1, 1]),
+            ([0, 2, 3], [0, 1.9, 1]),
+            ([0, 2, 3], [True, False, True]),
+            ([False, True, True], [0]),
+            ([0, 2, 3], [0, np.nan, 1]),
+        ],
+        ids=["fractional-offsets", "fractional-cols", "bool-cols", "bool-offsets", "nan-cols"],
+    )
+    def test_non_integer_indices_rejected(self, offsets, cols):
+        # a truncating cast would store [0, 2, 3] and [0, 1, 1]
+        with pytest.raises(ValueError, match="integer values"):
+            SparseMatrix(2, 2, offsets, cols, [2.0, 1.0, 3.0][: len(cols)])
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [([0.0, 1.5], [0, 1]), ([0, 1], [0.5, 1]), ([False, True], [0, 1])],
+        ids=["fractional-rows", "fractional-cols", "bool-rows"],
+    )
+    def test_from_coo_rejects_non_integer_indices(self, rows, cols):
+        with pytest.raises(ValueError, match="integer values"):
+            SparseMatrix.from_coo(rows, cols, [1.0, 2.0], (2, 2))
+
+    def test_integral_float_and_empty_indices_accepted(self):
+        a = SparseMatrix(2, 2, [0.0, 2.0, 3.0], [0.0, 1.0, 1.0], [2.0, 1.0, 3.0])
+        assert a.to_dense().tolist() == [[2.0, 1.0], [0.0, 3.0]]
+        b = SparseMatrix.from_coo([0.0, 1.0], [1.0, 0.0], [4.0, 5.0], (2, 2))
+        assert b.to_dense().tolist() == [[0.0, 4.0], [5.0, 0.0]]
+        # the per-line reader passes empty lists for a file without entries
+        for empty in (SparseMatrix.from_coo([], [], [], (2, 2)), SparseMatrix(2, 2, [0, 0, 0], [], [])):
+            assert empty.nnz == 0 and np.array_equal(spmv(empty, np.ones(2)), np.zeros(2))
+
+    def test_unsigned_offsets_must_not_decrease(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SparseMatrix(2, 2, np.array([0, 2, 1], np.uint8), [0, 1, 0], [1.0, 1.0, 1.0])
+
+    def test_index_dtype_follows_scipy(self):
+        small = SparseMatrix.from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2))
+        assert small.row_offsets.dtype == small.col_indices.dtype == np.int32
+        wide = SparseMatrix.from_coo([0], [2**31 + 4], [1.0], (1, 2**31 + 5))
+        assert wide.row_offsets.dtype == wide.col_indices.dtype == np.int64
+        assert wide.row_offsets.tolist() == [0, 1] and wide.col_indices.tolist() == [2**31 + 4]
+
+    def test_index_arrays_are_the_ones_spmv_reads(self):
+        offsets, cols = np.array([0, 2, 3], np.int32), np.array([0, 1, 1], np.int32)
+        a = SparseMatrix(2, 2, offsets, cols, [2.0, 1.0, 3.0])
+        for stored, given, read in [(a.row_offsets, offsets, a._csr.indptr), (a.col_indices, cols, a._csr.indices)]:
+            assert np.shares_memory(stored, given) and np.shares_memory(stored, read)
+        wide = SparseMatrix(2, 2, offsets.astype(np.int64), cols.astype(np.int64), [2.0, 1.0, 3.0])
+        assert wide.col_indices.dtype == np.int32 and np.shares_memory(wide.col_indices, wide._csr.indices)
+
 
 class TestDenseSolve:
     def test_identity(self):
