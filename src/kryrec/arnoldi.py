@@ -73,19 +73,24 @@ def as_operator(a) -> OperatorHandle:
 
 @dataclass
 class ArnoldiDecomposition:
-    """Result of ``j`` Arnoldi steps.
-
-    ``v`` holds orthonormal columns: ``j + 1`` of them normally, only ``j``
-    when a lucky breakdown truncated the process (the last Hessenberg row is
-    then exactly zero). ``hbar`` is the ``(j+1) x j`` upper-Hessenberg matrix.
-    ``step_norms`` holds a solver cycle's ``(i, residual norm)`` pairs, if any.
+    """Result of ``j`` Arnoldi steps: ``A v[:, :j] = v @ hbar``, with ``hbar``
+    upper Hessenberg and one row per orthonormal column of ``v``: ``j + 1`` of
+    them, or ``j`` after a lucky breakdown at step ``j`` (``A V_j = V_j H_j``),
+    so ``j`` and ``breakdown`` are read off the shapes. ``step_norms`` holds a
+    solver cycle's ``(i, residual norm)`` pairs, if any.
     """
 
     v: np.ndarray
     hbar: np.ndarray
-    j: int
-    breakdown: int | None = None
     step_norms: list = field(default_factory=list)
+
+    @property
+    def j(self) -> int:
+        return self.hbar.shape[1]
+
+    @property
+    def breakdown(self) -> int | None:
+        return self.j if len(self.hbar) == self.j else None
 
     @property
     def basis(self) -> np.ndarray:
@@ -94,7 +99,7 @@ class ArnoldiDecomposition:
 
     @property
     def h(self) -> np.ndarray:
-        """Square Hessenberg: ``hbar`` with its last row dropped."""
+        """Square Hessenberg: the first ``j`` rows of ``hbar``."""
         return self.hbar[: self.j, :]
 
 
@@ -106,9 +111,10 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
     built so far. By default each step then measures its loss of
     orthogonality with a second projection ``h2 = V* w`` and applies that
     update (CGS2) only when ``max|h2| > ORTH_RTOL * ||w||``, which keeps
-    ``max|I - V* V|`` at about ``ORTH_RTOL``. Stops early with the breakdown
-    flag set when the next subdiagonal entry vanishes relative to the
-    operator scale.
+    ``max|I - V* V|`` at about ``ORTH_RTOL``. A lucky breakdown, a next
+    subdiagonal entry that vanishes relative to the operator scale, ends the
+    run at step ``j`` with ``j`` basis columns and the square ``H_j``, so
+    ``A v[:, :j] = v @ hbar`` holds for every result.
 
     Parameters
     ----------
@@ -146,6 +152,7 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
 
     # w is updated in place, so it must never alias the operator's output
     w = w0.astype(dtype, copy=True)
+    rows = 1  # basis vectors built; a breakdown leaves hbar square
     for j in range(m):
         if j > 0:
             w = op(vt[j]).astype(dtype, copy=True)
@@ -163,22 +170,17 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
                 w -= h @ basis
                 hnext = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * scale:
-            steps = j + 1
-            return ArnoldiDecomposition(
-                v=vt[:steps].copy().T,
-                hbar=hbar[: steps + 1, :steps].copy(),
-                j=steps,
-                breakdown=steps,
-            )
+            break
         hbar[j + 1, j] = hnext
         vt[j + 1] = w / hnext
-        if stop is not None and stop(j + 1, vt, hbar) and j + 1 < m:
-            return ArnoldiDecomposition(v=vt[: j + 2].T, hbar=hbar[: j + 2, : j + 1].copy(), j=j + 1)
-    return ArnoldiDecomposition(v=vt.T, hbar=hbar, j=m)
+        rows = j + 2
+        if stop is not None and stop(j + 1, vt, hbar):
+            break
+    return ArnoldiDecomposition(v=vt[:rows].T, hbar=hbar[:rows, : j + 1].copy())
 
 
 def arnoldi_relation_residual(dec: ArnoldiDecomposition, op) -> float:
-    """Frobenius norm of ``op @ V_j - V_{j+1} @ Hbar_j``.
+    """Frobenius norm of ``op @ V_j - dec.v @ dec.hbar``.
 
     Costs ``j`` operator applications; intended for verification, not the
     solve path.
@@ -187,6 +189,4 @@ def arnoldi_relation_residual(dec: ArnoldiDecomposition, op) -> float:
     if dec.v.shape[0] != op.dimension:
         raise DimensionError("decomposition dimension does not match operator")
     av = np.column_stack([op(dec.basis[:, i]) for i in range(dec.j)])
-    # On breakdown the (zero) last Hessenberg row has no basis column; drop it.
-    recon = dec.v @ dec.hbar[: dec.v.shape[1], :]
-    return float(np.linalg.norm(av - recon))
+    return float(np.linalg.norm(av - dec.v @ dec.hbar))

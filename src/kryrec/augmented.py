@@ -229,14 +229,14 @@ def solve_block_coupled(m: np.ndarray, rhs: np.ndarray, k: int, j: int):
 
 def compute_coupling(aug: AugmentationSpace, v: np.ndarray, hbar: np.ndarray) -> np.ndarray:
     """k x j coupling matrix: inverse small product times the test-space
-    inner products of the Krylov images ``A V_j = V_{j+1} Hbar``."""
+    inner products of the Krylov images ``A V_j = v @ hbar``."""
     v = np.asarray(v)
     hbar = np.asarray(hbar)
     if v.shape[0] != aug.n:
         raise DimensionError(f"basis length {v.shape[0]} != {aug.n}")
-    ncols = min(v.shape[1], hbar.shape[0])
-    uv = aug.u_tilde.conj().T @ v[:, :ncols]
-    return aug.solve_small(uv @ hbar[:ncols, :])
+    if v.shape[1] != hbar.shape[0]:
+        raise DimensionError(f"{v.shape[1]} basis columns != {hbar.shape[0]} Hessenberg rows")
+    return aug.solve_small((aug.u_tilde.conj().T @ v) @ hbar)
 
 
 def z_correction(

@@ -85,9 +85,10 @@ class SolveResult:
     """Outcome of an outer solve loop.
 
     ``residual_history`` rows are ``(cycle, inner_step, norm)``: row 0 is the
-    initial residual; a cycle's rows below its size are its residual monitor's
-    norms, and its last row (``inner_step`` = size) is the recurred norm, or
-    the true one where a recurred norm met the tolerance and the true did not.
+    initial residual; a cycle's rows below its size are the norms its residual
+    monitor kept (one per step; for ``rfom`` with augmentation, often none), and
+    its last row (``inner_step`` = size) is the recurred norm, or the true one
+    where a recurred norm met the tolerance and the true did not.
     ``history_matvecs[i]`` is the solve's matvec count when row ``i`` was
     written, matvecs spent between cycles included.
     """
@@ -128,15 +129,15 @@ def _leading_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _ResidualMonitor:
-    """Arnoldi ``stop`` callback: keeps the cycle's residual norm after each
-    step ``i`` as ``(i, norm)`` in ``norms`` (none where it is infinite), true
-    at the first norm <= ``threshold``. ``w`` spans the null space of
-    ``Hbar_i*``, ``w_1 = 1``: GMRES's norm is ``beta/||w||``, FOM's
-    ``beta/|w_{i+1}|``. With augmentation, ``D = V_{i+1}* C`` and
-    ``P = C* C - D* D`` grow a row per step, and the least residual over
-    ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``, ``a = w* D/||w||``:
-    rgmres's norm, and a bound below rfom's, computed where the bound meets
-    ``threshold`` only.
+    """Arnoldi ``stop`` callback, true at the first residual norm <= ``threshold``.
+    ``w`` spans the null space of ``Hbar_i*``, ``w_1 = 1``: GMRES's norm is
+    ``beta/||w||``, FOM's ``beta/|w_{i+1}|``. With augmentation,
+    ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step, and the
+    least residual over ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``,
+    ``a = w* D/||w||``: rgmres's norm, and a bound below rfom's, which is
+    computed only where the bound meets ``threshold``. Each finite norm
+    computed after step ``i`` is kept as ``(i, norm)`` in ``norms``: one per
+    step, except for rfom with augmentation, which keeps only those steps.
     """
 
     def __init__(self, r, method: str, threshold: float, aug=None, z0=None):
@@ -222,7 +223,7 @@ def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float 
     stops at the first residual norm ``<= threshold``.
     """
     dec = _ResidualMonitor(r, "gmres", threshold).run(as_operator(a), r, m, reorth)
-    rhs = np.zeros(dec.j + 1, dtype=dec.hbar.dtype)
+    rhs = np.zeros(len(dec.hbar), dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return dense_lstsq(dec.hbar, rhs), dec
 
@@ -240,8 +241,7 @@ def _krylov_update(result, cycle, start, x, r, dec, y):
     result.history_matvecs.extend(start + i for _, i, _ in rows)
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
-    ncols = min(size + 1, dec.v.shape[1])
-    r = r - dec.v[:, :ncols] @ t[:ncols]
+    r = r - dec.v[:, : len(t)] @ t
     return x, r, size
 
 

@@ -32,11 +32,12 @@ __all__ = [
 
 # np.loadtxt reads a body of only these bytes exactly as the per-line loop does
 _NUMERIC_BODY = b"0123456789+-.eE \t\n"
-# a whole-line comment that str.splitlines does not break (dropped with the \n before it)
-_COMMENT_LINE = re.compile(rb"\n[ \t]*%[^\n\x0b\x0c\x1c-\x1e]*(?=\n|\Z)")
-# header, comments, size line, in bytes with every \r already read as \n;
-# [ \t\x0b\x0c\x1c-\x1f] is the rest of str.isspace()
-_HEAD = re.compile(rb"[^\n]*\n?(?:[ \t\x0b\x0c\x1c-\x1f]*(?:%[^\n]*)?\n)*[^\n]*\n?")
+# str.splitlines's ASCII breaks besides \n, read as \n, and \x1f, a blank to str.split
+_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# a whole-line comment (dropped with the \n before it)
+_COMMENT_LINE = re.compile(rb"\n[ \t]*%[^\n]*(?=\n|\Z)")
+# header, comments, size line, in bytes whose only break is \n and only blanks are [ \t]
+_HEAD = re.compile(rb"[^\n]*\n?(?:[ \t]*(?:%[^\n]*)?\n)*[^\n]*\n?")
 HISTORY_COLUMNS = ["solver", "system_label", "cycle", "matvecs", "residual_norm", "wall_time_ms"]
 
 
@@ -105,9 +106,9 @@ def read_matrix_market(path) -> SparseMatrix:
         raise MatrixMarketError(
             f"non-ASCII byte {data[bad]:#04x}", len((data[:bad].decode("ascii") + ".").splitlines())
         )
-    if b"\r" in data:  # text mode's newlines: \r\n, then any other \r, read as \n
-        data = data.replace(b"\r\n", b"\n")
-        data = data.replace(b"\r", b"\n")
+    if any(c in data for c in _BREAKS):  # per-byte tests: a regex search costs 30 times more
+        data = data.replace(b"\r\n", b"\n")  # one break, as in text mode
+        data = data.translate(bytes.maketrans(_BREAKS, b"\n\n\n\n\n\n "))
     cut = _HEAD.match(data).end()
     lines = data[:cut].decode("ascii").splitlines()  # a prefix of the file's str.splitlines()
     body = [data[cut:]]  # the rest, held once: _numeric_body empties the list
@@ -141,13 +142,12 @@ def read_matrix_market(path) -> SparseMatrix:
         raise MatrixMarketError(f"bad size line: {exc}", idx + 1) from exc
 
     complex_vals = fieldtype == "complex"
-    if idx == len(lines) - 1:  # else str.splitlines saw more breaks than _HEAD
-        try:
-            coo = _numeric_body(body, complex_vals, symmetry, n_rows, n_cols, nnz)
-        except (ValueError, Warning):
-            pass
-        else:
-            return SparseMatrix.from_coo(*coo, (n_rows, n_cols))
+    try:
+        coo = _numeric_body(body, complex_vals, symmetry, n_rows, n_cols, nnz)
+    except (ValueError, Warning):
+        pass
+    else:
+        return SparseMatrix.from_coo(*coo, (n_rows, n_cols))
     # the head ends at a \n or at the end of the file, so the two splits join
     lines += body.pop().decode("ascii").splitlines()
     rows, cols, vals = [], [], []

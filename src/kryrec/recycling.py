@@ -114,8 +114,7 @@ def extract_ritz(
         raise ValueError(f"requested {k} Ritz vectors from a size-{u.shape[1] + j} space")
     if k == 0:
         return RitzPairs(np.zeros((n, 0)), np.zeros(0, dtype=complex), np.zeros(0), np.zeros((n, 0)))
-    v = dec.v
-    hbar = dec.hbar[: v.shape[1]]  # on a breakdown V_{j+1} is V_j and Hbar's last row is 0
+    v, hbar = dec.v, dec.hbar
     e = (u.conj().T @ v).conj().T  # never conjugate-copies the basis
     d = (c.conj().T @ v).conj().T
     # (U - V_j E_j) P is an orthonormal basis of span(U) outside span(V_j), from

@@ -71,10 +71,10 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
     """
     z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
     dec = _ResidualMonitor(r0, method, threshold, aug, z0).run(as_operator(a), r0, m, reorth)
-    j, k = dec.j, aug.k
+    (rows, j), k = dec.hbar.shape, aug.k
     coupling = compute_coupling(aug, dec.v, dec.hbar)
     d = (aug.c.conj().T @ dec.v).conj().T  # never conjugate-copies the basis
-    beta_e1 = np.zeros(j + 1 + k, dtype=np.result_type(dec.hbar, d))
+    beta_e1 = np.zeros(rows + k, dtype=np.result_type(dec.hbar, d))
     beta_e1[0] = np.linalg.norm(r0)
     if method == "fom":
         y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0)
@@ -82,10 +82,10 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
         # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
         # can push an eigenvalue below 0 when C lies nearly inside the image
         evals, evecs = np.linalg.eigh(aug.small - d.conj().T @ d)
-        lsq = np.zeros((j + 1 + k, j + k), dtype=beta_e1.dtype)
-        lsq[: j + 1, :j] = dec.hbar
-        lsq[: d.shape[0], j:] = d  # on a lucky breakdown row j stays zero
-        lsq[j + 1 :, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
+        lsq = np.zeros((rows + k, j + k), dtype=beta_e1.dtype)
+        lsq[:rows, :j] = dec.hbar
+        lsq[:rows, j:] = d
+        lsq[rows:, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
         y = dense_lstsq(lsq, beta_e1)[:j]
     coupling = coupling[:, : len(y)]
     return y, z0 - coupling @ y, dec, coupling

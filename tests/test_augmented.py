@@ -17,7 +17,7 @@ from kryrec.augmented import (
     solve_block_coupled,
     z_correction,
 )
-from kryrec.core import SparseMatrix
+from kryrec.core import DimensionError, SparseMatrix
 
 
 def well_conditioned(rng, n, complex_values=False):
@@ -301,6 +301,16 @@ class TestCoupling:
         b = compute_coupling(aug, v, hbar)
         assert b.shape == (1, 1)
         assert b[0, 0] == pytest.approx(1.5)
+
+    def test_basis_and_hessenberg_must_agree_in_size(self):
+        # one hbar row per basis column: a zero last row after a breakdown, or
+        # a basis column without a row, is refused rather than cut off
+        a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
+        aug = build_augmentation(a, np.eye(6)[:, :1], Constraint.GALERKIN)
+        v = np.eye(6)[:, 1:4]
+        for hbar in (np.triu(np.ones((4, 3)), k=-1), np.triu(np.ones((2, 2)), k=-1)):
+            with pytest.raises(DimensionError, match="Hessenberg rows"):
+                compute_coupling(aug, v, hbar)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_extended_relation_split(self, seed):

@@ -20,19 +20,19 @@ BAD_VALUES = ["1.2.3", "1-2", "1e5e", "1e", "1.0,", "1.5abc", "nan", "inf", "1_0
 BAD_INDICES = ["1.0", "1e0", "0", "-1", "+1", "01", "99999999999999999999"]
 # 'comment' lines are whole-line comments that numpy's path drops; 'split'
 # adds comments holding a break of str.splitlines, which the loop reads as a
-# comment and then an entry.
+# comment and then an entry, or as a comment alone.
 NOISE_LINES = {
     None: [],
     "blank": ["", "   ", "\t"],
     "comment": ["% comment", " %% 1 2 3", "", "\t% 50% done"],
     "split": ["% comment", "% split\x0b1 1 1.0", "% split\r1 1 1.0", "% split\x1e"],
 }
-SPLITLINES_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def dropped_comment(line):
-    """A whole-line comment that numpy's path may drop."""
-    return line.lstrip(" \t").startswith("%") and not any(c in line for c in SPLITLINES_BREAKS)
+def plain_line(line):
+    """A line numpy's path may take: no '%', or only pieces (as str.splitlines
+    breaks it) that are blank or whole-line comments."""
+    return "%" not in line or all(not p.strip() or p.lstrip().startswith("%") for p in line.splitlines())
 
 
 def fmt_value(rng, v, integer):
@@ -94,7 +94,7 @@ def mm_text(rng, field, symmetric, n_rows, n_cols, n_entries, dups, noise, crlf,
         lines.append(pad + sep().join(tokens) + str(rng.choice(["", " ", "\t"])))
         if noise and rng.random() < 0.3:
             lines.append(str(rng.choice(NOISE_LINES[noise])))
-    plain = all("%" not in line or dropped_comment(line) for line in lines)
+    plain = all(plain_line(line) for line in lines)
 
     nnz = len(entries)
     if corrupt == "count":
@@ -126,7 +126,7 @@ def mm_text(rng, field, symmetric, n_rows, n_cols, n_entries, dups, noise, crlf,
     head += [extra, f"{n_rows} {n_cols} {nnz}"]
     eol = "\r\n" if crlf else "\n"
     text = eol.join(head + lines) + (eol if rng.random() < 0.8 else "")
-    return text, plain and not corrupt and "\x0c" not in extra
+    return text, plain and not corrupt and extra in ("", "% generated")
 
 
 def outcome(path):
@@ -190,7 +190,7 @@ def test_reader_matches_per_line_loop(
 def test_comment_lines_keep_the_numpy_path(tmp_path, eol):
     # whole-line comments first, mid-body and last (without a final newline)
     lines = ["%%MatrixMarket matrix coordinate real symmetric", "3 3 3", "% first",
-             "1 1 2.0", "  % 50% mid", "2 1 -1.5", "\t%", "3 2 4e-3", "% last"]
+             "1 1 2.0", "  % 50% mid", "2 1 -1.5", "\t%", "% page\x0c% break\x0b%\x1e", "3 2 4e-3", "% last"]
     path = tmp_path / "m.mtx"
     path.write_bytes(eol.join(lines).encode("ascii"))
     with mock.patch.object(kryrec.io, "_numeric_body", side_effect=ValueError("loop only")):

@@ -211,7 +211,7 @@ class TestRefresh:
     def test_dependent_ritz_vectors_dropped_with_warning(self):
         # a 2x2 Jordan block: both Ritz vectors are the same basis column
         v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
-        dec = ArnoldiDecomposition(v=v, hbar=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.5]]), j=2)
+        dec = ArnoldiDecomposition(v=v, hbar=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.5]]))
         a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
         with pytest.warns(UserWarning, match="dropping 1 dependent Ritz vectors"):
             aug = refresh(a, None, dec, RecycleSpec(k=2), Constraint.GALERKIN)

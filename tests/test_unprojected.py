@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kryrec.arnoldi import as_operator
+import kryrec.baseline
+from kryrec.arnoldi import arnoldi, arnoldi_relation_residual, as_operator
 from kryrec.augmented import (
     Constraint,
     assemble_block_system,
@@ -51,6 +52,34 @@ def singular_hessenberg_system():
         )
     )
     return a, np.eye(4)[0]
+
+
+def low_grade_system(dtype):
+    """Four distinct eigenvalues, five times each: every Arnoldi run breaks
+    down by step 4, up to rounding."""
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(1, 3, 4) + (1j * rng.uniform(-1, 1, 4) if dtype is complex else 0)
+    b = rng.standard_normal(20) + (1j * rng.standard_normal(20) if dtype is complex else 0)
+    return SparseMatrix.diagonal(np.repeat(vals, 5)), b
+
+
+def recorded_decompositions(monkeypatch):
+    """Every decomposition the solvers build from here on."""
+    decs = []
+
+    def spy(*args, **kwargs):
+        decs.append(arnoldi(*args, **kwargs))
+        return decs[-1]
+
+    monkeypatch.setattr(kryrec.baseline, "arnoldi", spy)
+    return decs
+
+
+def assert_shape_rule(decs, a):
+    """One hbar row per basis column, and A v[:, :j] = v @ hbar."""
+    for dec in decs:
+        assert dec.v.shape[1] == dec.hbar.shape[0]
+        assert arnoldi_relation_residual(dec, a) <= 1e-12 * a.frobenius_norm()
 
 
 def cycle_residual(aug, dec, y, z, r0):
@@ -247,19 +276,29 @@ class TestUnprojSolve:
         assert np.max(np.abs(ha - hb) / np.maximum(ha, 1e-300)) <= 1e-12
 
     @pytest.mark.parametrize("method,base", [("rfom", "fom"), ("rgmres", "gmres")])
-    @pytest.mark.parametrize("system", ["tridiagonal", "singular_hessenberg"])
-    def test_k_zero_equals_baseline_in_every_field(self, system, method, base):
+    @pytest.mark.parametrize(
+        "system", ["tridiagonal", "singular_hessenberg", "lucky_breakdown_real", "lucky_breakdown_complex"]
+    )
+    def test_k_zero_equals_baseline_in_every_field(self, system, method, base, monkeypatch):
         if system == "tridiagonal":
             a = tridiagonal_matrix(200)
             b = np.random.default_rng(5).standard_normal(200)
             b /= np.linalg.norm(b)
             cfg = SolverConfig(20, 1e-8, max_cycles=40, tol_mode="abs")
-        else:
+        elif system == "singular_hessenberg":
             # H_2 of the first cycle is exactly singular: FOM solves at size 1
             a, b = singular_hessenberg_system()
             cfg = SolverConfig(2, 1e-10, max_cycles=50)
+        else:
+            # an unreachable tolerance keeps restarting: every cycle breaks down
+            a, b = low_grade_system(complex if system.endswith("complex") else float)
+            cfg = SolverConfig(6, 1e-300, max_cycles=8, tol_mode="abs")
+        decs = recorded_decompositions(monkeypatch)
         res_aug = unproj_solve(a, b, None, None, cfg, method)
         res_base = restarted_solve(a, b, None, cfg, base)
+        assert_shape_rule(decs, a)
+        if system.startswith("lucky_breakdown"):
+            assert len(decs) == 16 and all(dec.breakdown for dec in decs)
         assert np.array_equal(res_aug.x, res_base.x)
         assert res_aug.residual_history == res_base.residual_history
         assert res_aug.matvec_count == res_base.matvec_count
@@ -385,6 +424,34 @@ def test_recycling_source_is_the_last_full_cycle(method):
     # with a single cycle, that cycle is the source whatever its length
     one = unproj_solve(a, b, None, None, SolverConfig(m, 0.9, max_cycles=200), method)
     assert one.cycles_used == 1 and one.final_decomposition.j == one.residual_history[-1][1] < m
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("method", ["rfom", "rgmres"])
+def test_augmented_cycle_over_a_lucky_breakdown(method, dtype, monkeypatch):
+    a, b = low_grade_system(dtype)
+    u = np.random.default_rng(8).standard_normal((20, 2))
+    decs = recorded_decompositions(monkeypatch)
+    res = unproj_solve(a, b, None, u, SolverConfig(6, 1e-10), method)
+    assert res.converged and decs and all(dec.breakdown for dec in decs)
+    assert_shape_rule(decs, a)
+    assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_rfom_with_augmentation_writes_inner_rows_only_where_its_bound_meets_the_tolerance():
+    # rfom computes its own norm only where the least residual over [V_i U], a
+    # bound below it, meets the tolerance: here never below a cycle's last
+    # step, so each cycle writes 1 row, where rgmres and rfom at k = 0 write 20
+    a = tridiagonal_matrix(400, -1.3, 2, -0.7)
+    rng = np.random.default_rng(0)
+    b, u = rng.standard_normal(400), rng.standard_normal((400, 4))
+    cfg = SolverConfig(20, 1e-8, max_cycles=3)
+    for method, u0, rows in (("rfom", u, 1), ("rgmres", u, 20), ("rfom", None, 20)):
+        res = unproj_solve(a, b, None, u0, cfg, method)
+        assert res.cycles_used == 3 and not res.converged
+        assert [row[:2] for row in res.residual_history] == [(0, 0)] + [
+            (c, i) for c in (1, 2, 3) for i in range(21 - rows, 21)
+        ]
 
 
 class TestDegenerateAugmentation:
