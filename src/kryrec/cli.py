@@ -100,6 +100,8 @@ def _make_rhs(spec: str | None, n: int, seed: int) -> np.ndarray:
         path = spec[len("file:") :]
         with open(path, "r", encoding="ascii") as fh:
             vals = [complex(tok) for tok in fh.read().split()]
+        if len(vals) != n:
+            raise ValueError(f"--rhs {spec} has {len(vals)} entries; the system has {n} rows")
         b = check_finite("--rhs file", np.array(vals))
         return b.real if np.all(b.imag == 0) else b
     raise ValueError(f"bad --rhs spec {spec!r}")

@@ -111,7 +111,7 @@ def read_matrix_market(path) -> SparseMatrix:
         data = data.translate(bytes.maketrans(_BREAKS, b"\n\n\n\n\n\n "))
     cut = _HEAD.match(data).end()
     lines = data[:cut].decode("ascii").splitlines()  # a prefix of the file's str.splitlines()
-    body = [data[cut:]]  # the rest, held once: _numeric_body empties the list
+    body = [data]  # held once, the head included: _numeric_body empties the list
     del data
     if not lines:
         raise MatrixMarketError("empty file", 1)
@@ -137,19 +137,21 @@ def read_matrix_market(path) -> SparseMatrix:
     if len(size_parts) != 3:
         raise MatrixMarketError("size line must be 'rows cols nnz'", idx + 1)
     try:
+        if "_" in lines[idx]:  # a digit separator, which Python's int and float accept
+            raise ValueError(f"digit separator '_' in {lines[idx].strip()!r}")
         n_rows, n_cols, nnz = (int(t) for t in size_parts)
     except ValueError as exc:
         raise MatrixMarketError(f"bad size line: {exc}", idx + 1) from exc
 
     complex_vals = fieldtype == "complex"
     try:
-        coo = _numeric_body(body, complex_vals, symmetry, n_rows, n_cols, nnz)
+        coo = _numeric_body(body, cut, complex_vals, symmetry, n_rows, n_cols, nnz)
     except (ValueError, Warning):
         pass
     else:
         return SparseMatrix.from_coo(*coo, (n_rows, n_cols))
     # the head ends at a \n or at the end of the file, so the two splits join
-    lines += body.pop().decode("ascii").splitlines()
+    lines += body.pop()[cut:].decode("ascii").splitlines()
     rows, cols, vals = [], [], []
     seen = 0
     for line_no in range(idx + 1, len(lines)):
@@ -163,6 +165,8 @@ def read_matrix_market(path) -> SparseMatrix:
                 f"expected {want} fields per entry, got {len(parts)}", line_no + 1
             )
         try:
+            if "_" in raw:
+                raise ValueError(f"digit separator '_' in {raw!r}")
             i = int(parts[0]) - 1
             j = int(parts[1]) - 1
             if complex_vals:
@@ -186,35 +190,42 @@ def read_matrix_market(path) -> SparseMatrix:
     return SparseMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
 
 
-def _numeric_body(body: list, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
+def _numeric_body(body: list, cut: int, complex_vals: bool, symmetry: str, n_rows: int, n_cols: int, nnz: int):
     """The loop's COO triplets, read by np.loadtxt from ``body``, a list holding
-    the bytes after the size line. Raises ``ValueError`` or a warning where the
-    loop must decide; once it cannot, empties ``body``, and drops every array
-    as soon as the next one is built, so each stage is held once."""
+    the file's bytes, whose head ends at ``cut`` after the size line. Raises
+    ``ValueError`` or a warning where the loop must decide; once it cannot,
+    empties ``body``, and drops every array as soon as the next one is built,
+    so each stage is held once."""
     data = body[0]
-    if b"%" in data:
-        data = _COMMENT_LINE.sub(b"", b"\n" + data)
-    if data.translate(None, _NUMERIC_BODY):
+    if data.find(b"%", cut) >= 0:  # then the head ends at a \n, which the regex needs
+        data, cut = _COMMENT_LINE.sub(b"", data[cut - 1 :]), 0
+    # in slices: translate allocates its input's size before it shrinks
+    if any(data[k : k + 2**16].translate(None, _NUMERIC_BODY) for k in range(cut, len(data), 2**16)):
         raise ValueError("body is not plain numbers")
-    dtype = [("i", np.int64), ("j", np.int64), ("v", np.float64, (1 + complex_vals,))]
-    with warnings.catch_warnings():
+    # indices parsed at the width SparseMatrix keeps, so scipy copies none; an
+    # index too wide for int32 fails to parse, and the loop reports its line
+    index = np.int32 if max(n_rows, n_cols) <= np.iinfo(np.int32).max else np.int64
+    dtype = [("i", index), ("j", index), ("v", np.float64, (1 + complex_vals,))]
+    with warnings.catch_warnings(), io.BytesIO(data) as stream:  # sharing the bytes
         warnings.simplefilter("error")  # an empty body only warns
-        e = np.loadtxt(io.BytesIO(data), dtype=dtype, ndmin=1)
-    i, j = e["i"] - 1, e["j"] - 1
-    if len(e) != nnz or not np.all((i >= 0) & (i < n_rows) & (j >= 0) & (j < n_cols)):
+        stream.seek(cut)
+        e = np.loadtxt(stream, dtype=dtype, ndmin=1)
+    i, j = e["i"], e["j"]  # 1-based views, checked without a mask
+    if len(e) != nnz or min(i.min(), j.min()) < 1 or i.max() > n_rows or j.max() > n_cols:
         raise ValueError("entry count or index out of range")
     body.clear()
     del data
+    i, j = i - 1, j - 1
     # (re, im) pairs reinterpreted, so every bit is the parsed one
     vals = np.ascontiguousarray(e["v"]).view(np.complex128 if complex_vals else np.float64)[:, 0]
     del e
     if symmetry == "symmetric":
         # each entry then its mirror, the loop's order, so duplicates sum alike
-        reps = 1 + (i != j)
+        reps = 1 + (i != j).view(np.int8)
+        mirror = np.cumsum(reps)[reps == 2] - 1
         i = np.repeat(i, reps)
         j = np.repeat(j, reps)
         vals = np.repeat(vals, reps)
-        mirror = np.cumsum(reps)[reps == 2] - 1
         i[mirror], j[mirror] = j[mirror], i[mirror]
     return i, j, vals
 

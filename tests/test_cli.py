@@ -104,6 +104,19 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_rhs_file_of_wrong_length_names_the_counts(self, identity_mtx, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.0 2.0\n")
+        out = tmp_path / "h.csv"
+        code = run(
+            ["solve", "--matrix", str(identity_mtx), "--method", "gmres",
+             "--rhs", f"file:{rhs}", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--rhs file:{rhs} has 2 entries; the system has 8 rows" in err
+        assert not out.exists()
+
     def test_json_output(self, identity_mtx, tmp_path):
         import json
 
@@ -166,6 +179,19 @@ class TestCompare:
              "--methods", "fom"]
         )
         assert code == 1
+
+    def test_rhs_file_of_wrong_length_names_the_counts(self, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.0 2.0\n")
+        prefix = tmp_path / "h_"
+        code = run(
+            ["compare", "--family", "tridiag:n=3,count=2", "--methods", "fom,rfom",
+             "--rhs", f"file:{rhs}", "--out", str(prefix)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--rhs file:{rhs} has 2 entries; the system has 3 rows" in err
+        assert not list(tmp_path.glob("h_*"))
 
     def test_requires_input(self):
         assert run(["compare", "--methods", "fom"]) == 1

@@ -1,9 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.io
 
+import kryrec.io
 from kryrec.io import (
     ConvergenceRecord,
     MatrixMarketError,
@@ -14,6 +16,19 @@ from kryrec.io import (
     tridiagonal_matrix,
     write_history,
 )
+
+
+def read_with_spy(path):
+    """The matrix read from ``path``, and the triplets numpy's path returned
+    for it (none when the per-line loop read it)."""
+    numeric_body, returned = kryrec.io._numeric_body, []
+
+    def spy(*args):
+        returned.append(numeric_body(*args))
+        return returned[-1]
+
+    with mock.patch.object(kryrec.io, "_numeric_body", spy):
+        return read_matrix_market(path), returned
 
 
 class TestMatrixMarket:
@@ -95,6 +110,9 @@ class TestMatrixMarket:
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n2 1 1.0\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n", 3),
+            ("%%MatrixMarket matrix coordinate real general\n% note_1\n1_2 12 1\n1 1 1.0\n", 3),
+            # too wide for the int32 indices numpy's path parses
+            ("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.0\n3000000000 2 1.0\n", 4),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, text, line):
@@ -116,6 +134,7 @@ class TestMatrixMarket:
             "1 1 2.0 % c",
             "1 1\x0c2.0",
             "1.0 1 2.0",
+            "1_0 1 2_5.0",
         ],
     )
     def test_malformed_entries_rejected_with_line_numbers(self, tmp_path, entry):
@@ -137,6 +156,28 @@ class TestMatrixMarket:
         )
         with pytest.raises(MatrixMarketError, match="promised 3"):
             read_matrix_market(p)
+
+    def test_digit_separators_only_in_comments(self, tmp_path):
+        # Python's int and float read '1_2' as 12; the reader reads it nowhere
+        # but in a comment
+        p = self.write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% note_1\n2 2 1\n% note_2\n2 1 7.0\n",
+        )
+        assert read_matrix_market(p).to_dense()[1, 0] == 7.0
+
+    def test_dimension_beyond_int32_keeps_int64_indices(self, tmp_path):
+        # one row, so the CSR holds no array of the wide dimension's length
+        p = self.write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n1 2147483653 1\n1 2147483653 5.0\n",
+        )
+        a, returned = read_with_spy(p)
+        assert [x.dtype for x in returned[0][:2]] == [np.int64, np.int64]
+        assert a.shape == (1, 2147483653)
+        assert a.col_indices.dtype == np.int64 and a.col_indices.tolist() == [2147483652]
+        assert a.values.tolist() == [5.0]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -173,13 +214,15 @@ class TestMatrixMarket:
         p.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {rows.size}\n{body}")
         tracemalloc.start()
         try:
-            a = read_matrix_market(p)
+            a, returned = read_with_spy(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert a.nnz == 2 * rows.size - n
-        # file text, parsed records and expanded triplets each held once
-        assert peak <= 3.5 * p.stat().st_size
+        # file text, parsed records and expanded triplets each held once, with
+        # indices parsed at the CSR's width, so scipy copies none
+        assert peak <= 2.2 * p.stat().st_size
+        assert [x.dtype for x in returned[0][:2]] == [np.int32, np.int32]
         assert np.shares_memory(a.col_indices, a._csr.indices)
         assert np.shares_memory(a.row_offsets, a._csr.indptr)
 

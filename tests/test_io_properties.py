@@ -15,9 +15,9 @@ import kryrec.io
 from kryrec.io import MatrixMarketError, read_matrix_market
 
 # Replacements for one token or one line of an entry. Some of them the loop
-# accepts ('+1', 'nan', '1_0'), most it rejects.
+# accepts ('+1', 'nan'), most it rejects.
 BAD_VALUES = ["1.2.3", "1-2", "1e5e", "1e", "1.0,", "1.5abc", "nan", "inf", "1_0", "abc", "--1"]
-BAD_INDICES = ["1.0", "1e0", "0", "-1", "+1", "01", "99999999999999999999"]
+BAD_INDICES = ["1.0", "1e0", "0", "-1", "+1", "01", "1_0", "99999999999999999999"]
 # 'comment' lines are whole-line comments that numpy's path drops; 'split'
 # adds comments holding a break of str.splitlines, which the loop reads as a
 # comment and then an entry, or as a comment alone.
