@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi, as_operator
-from .augmented import compute_coupling
 from .core import (
     PIVOT_RTOL,
     RankDeficientError,
@@ -135,21 +134,35 @@ class _ResidualMonitor:
     ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step, and the
     least residual over ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``,
     ``a = w* D/||w||``: rgmres's norm, and a bound below rfom's, which is
-    computed only where the bound meets ``threshold``. Each finite norm
-    computed after step ``i`` is kept as ``(i, norm)`` in ``norms``: one per
-    step, except for rfom with augmentation, which keeps only those steps.
+    computed only where the bound meets ``threshold``, from ``E = V_{i+1}* U``.
+    Each finite norm computed after step ``i`` is kept as ``(i, norm)`` in
+    ``norms``: one per step, except for rfom with augmentation, which keeps
+    only those steps. :meth:`run` extends ``D``, ``P`` and rfom's ``E`` to the whole basis.
     """
 
     def __init__(self, r, method: str, threshold: float, aug=None, z0=None):
         self.beta, self.threshold = float(np.linalg.norm(r)), threshold
         self.method, self.aug, self.z0, self.k = method, aug, z0, aug.k if aug else 0
         self.norms, self.w = [], [1.0]
+        if aug is not None:  # D, E and P over no basis vector yet
+            self.d = self.e = np.zeros((0, self.k))
+            self.p = aug.small if method == "gmres" else aug.c.conj().T @ aug.c  # rgmres's is C* C
 
     def run(self, op, r, m: int, reorth: bool):
         """Arnoldi under this monitor; its norms go on the decomposition."""
         dec = arnoldi(op, r, m, reorth=reorth, stop=self)
         dec.step_norms = self.norms
+        if self.aug is not None:  # a breakdown at step 1 ends the run before any call
+            self._cover(dec.v.T, len(dec.hbar), self.method == "fom")
         return dec
+
+    def _cover(self, vt, rows: int, with_e: bool = False):
+        """Extend ``D`` and ``P``, and with ``with_e`` also ``E``, to the first
+        ``rows`` basis vectors by block products of the rows not yet covered."""
+        new = (vt[len(self.d) : rows] @ self.aug.c.conj()).conj()  # never conjugate-copies the basis
+        self.d, self.p = np.concatenate([self.d, new]), self.p - new.conj().T @ new
+        if with_e:
+            self.e = np.concatenate([self.e, (vt[len(self.e) : rows] @ self.aug.u.conj()).conj()])
 
     def __call__(self, i: int, vt, hbar) -> bool:
         self.w.append(-np.vdot(hbar[:i, i - 1], self.w) / hbar[i, i - 1])
@@ -171,17 +184,9 @@ class _ResidualMonitor:
         wnorm = np.linalg.norm(self.w)
         if not self.k:
             return float(self.beta / wnorm)
-        c = self.aug.c
-        if i == 1:
-            gram = self.aug.small if self.method == "gmres" else c.conj().T @ c  # rgmres's is C* C
-            self.d = np.empty((len(vt), self.k), np.result_type(vt, c))
-            self.p = np.array(gram, dtype=self.d.dtype)
-            self.posv = scipy.linalg.get_lapack_funcs("posv", (self.p,))
-        for row in (0, 1) if i == 1 else (i,):
-            self.d[row] = vt[row].conj() @ c
-            self.p -= np.outer(self.d[row].conj(), self.d[row])
-        a = (self.w @ self.d[: i + 1].conj()) / wnorm  # D* w/||w||
-        _, x, info = self.posv(self.p, a)
+        self._cover(vt, i + 1)
+        a = (self.w @ self.d.conj()) / wnorm  # D* w/||w||
+        _, x, info = scipy.linalg.get_lapack_funcs("posv", (self.p,))(self.p, a)
         if info:
             evals, evecs = np.linalg.eigh(self.p)
             keep = evecs[:, evals > PIVOT_RTOL * max(evals[-1], 0.0)]
@@ -190,8 +195,9 @@ class _ResidualMonitor:
 
     def _galerkin_norm(self, i: int, vt, hbar) -> float:
         """rfom's residual norm at size ``i``; infinite where its matrix is singular."""
-        hb, d, rhs = hbar[: i + 1, :i], self.d[: i + 1], self.beta * np.eye(i + 1)[0]
-        coupling = compute_coupling(self.aug, vt[: i + 1].T, hb)
+        self._cover(vt, i + 1, True)
+        hb, d, rhs = hbar[: i + 1, :i], self.d, self.beta * np.eye(i + 1)[0]
+        coupling = self.aug.solve_small(self.e.conj().T @ hb)
         try:
             y = dense_solve(hb[:i] - d[:i] @ coupling, rhs[:i] - d[:i] @ self.z0)
         except SingularMatrixError:

@@ -99,7 +99,11 @@ def _make_rhs(spec: str | None, n: int, seed: int) -> np.ndarray:
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         with open(path, "r", encoding="ascii") as fh:
-            vals = [complex(tok) for tok in fh.read().split()]
+            toks = fh.read().split()
+        for tok in toks:  # complex() would read "1_0" as 10
+            if "_" in tok:
+                raise ValueError(f"--rhs {spec}: digit separator '_' in {tok!r}")
+        vals = [complex(tok) for tok in toks]
         if len(vals) != n:
             raise ValueError(f"--rhs {spec} has {len(vals)} entries; the system has {n} rows")
         b = check_finite("--rhs file", np.array(vals))

@@ -198,7 +198,7 @@ def _numeric_body(body: list, cut: int, complex_vals: bool, symmetry: str, n_row
     so each stage is held once."""
     data = body[0]
     if data.find(b"%", cut) >= 0:  # then the head ends at a \n, which the regex needs
-        data, cut = _COMMENT_LINE.sub(b"", data[cut - 1 :]), 0
+        data, cut = _COMMENT_LINE.sub(b"", memoryview(data)[cut - 1 :]), 0  # a view: no copy
     # in slices: translate allocates its input's size before it shrinks
     if any(data[k : k + 2**16].translate(None, _NUMERIC_BODY) for k in range(cut, len(data), 2**16)):
         raise ValueError("body is not plain numbers")

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, as_operator
-from .augmented import AugmentationSpace, Constraint, _factored_space, build_augmentation
+from .augmented import AugmentationSpace, Constraint, _factored_space
 from .baseline import SolverConfig
 from .core import PIVOT_RTOL, small_eig
 from .unprojected import unproj_solve
@@ -173,9 +173,10 @@ def extract_ritz(
     return RitzPairs(basis / norms, values, np.sqrt(sq[0] / sq[1]), images / norms)
 
 
-def _recycled(aug: AugmentationSpace | None, dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, build):
-    """The next space, ``build(u, c)`` of the Ritz vectors over ``[U V_j]`` and
-    their images with dependent vectors dropped, or the empty space."""
+def _recycled(aug: AugmentationSpace | None, dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, op):
+    """The next space, of the Ritz vectors over ``[U V_j]`` with dependent
+    vectors dropped, or the empty space. Their images are ``op`` applied in
+    column order or, where ``op`` is None, the ones the Arnoldi relation gave."""
     k = min(spec.k, dec.j + (0 if aug is None else aug.k))
     if k < spec.k:
         warnings.warn(f"decomposition supports only {k} of {spec.k} requested Ritz vectors", stacklevel=3)
@@ -187,7 +188,9 @@ def _recycled(aug: AugmentationSpace | None, dec: ArnoldiDecomposition, spec: Re
     keep = np.sort(piv[diag >= PIVOT_RTOL * max(diag[0], 1e-300)])
     if len(keep) < pairs.vectors.shape[1]:
         warnings.warn(f"dropping {pairs.vectors.shape[1] - len(keep)} dependent Ritz vectors", stacklevel=3)
-    return build(pairs.vectors[:, keep], pairs.images[:, keep])
+    u = pairs.vectors[:, keep]
+    c = pairs.images[:, keep] if op is None else np.column_stack([op(u[:, i]) for i in range(len(keep))])
+    return _factored_space(u, c, choice)
 
 
 def _check_orthonormalize_c(choice: Constraint, orthonormalize_c: bool | None) -> None:
@@ -219,8 +222,7 @@ def refresh(
     _check_orthonormalize_c(choice, orthonormalize_c)
     if dec is None:
         return old_aug
-    op = as_operator(a)
-    return _recycled(old_aug, dec, spec, choice, lambda u, _: build_augmentation(op, u, choice))
+    return _recycled(old_aug, dec, spec, choice, as_operator(a))
 
 
 def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: bool | None = None):
@@ -236,7 +238,7 @@ def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: 
     def callback(op, aug, dec):
         if spec.refresh_policy is not RefreshPolicy.PER_CYCLE:
             return None
-        return _recycled(aug, dec, spec, choice, lambda u, c: _factored_space(u, c, choice))
+        return _recycled(aug, dec, spec, choice, None)
 
     return callback
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arnoldi import as_operator
-from .augmented import (
-    AugmentationSpace,
-    Constraint,
-    build_augmentation,
-    compute_coupling,
-)
+from .augmented import AugmentationSpace, Constraint, build_augmentation
 from .baseline import (
     SolveResult,
     SolverConfig,
@@ -61,19 +56,21 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
 
     Every reduced quantity is read off the unprojected Arnoldi relation
     ``r0 = ||r0|| V_{j+1} e_1``, ``A [V_j U] = [V_{j+1} C] blkdiag(Hbar, I)``,
-    with ``D = V_{j+1}* C``; the corrections are ``V_i y`` and ``U z`` with
-    ``z = z0 - B_i y``. ``rfom`` solves ``(H - D_j B) y = ||r0|| e_1 - D_j z0``
-    at the largest nonsingular leading size ``i``; ``rgmres`` takes ``y`` from
-    the least-squares problem ``[[Hbar, D], [0, T]] [y; z] ~ ||r0|| e_1`` with
-    ``T* T = C* C - D* D``; ``method`` is ``"fom"`` or ``"gmres"``. With
-    ``k = 0`` both are FOM/GMRES in the same floating-point operations.
-    Arnoldi stops at the first residual norm that meets ``threshold``.
+    through the residual monitor's ``D = V_{j+1}* C``, ``E = V_{j+1}* U`` and
+    ``P = C* C - D* D``; the corrections are ``V_i y`` and ``U z`` with
+    ``z = z0 - B_i y``, ``B = (small)^{-1} X* Hbar``, where ``X`` is ``E`` for
+    Galerkin and ``D`` for MINRES, whose small product is ``I``. ``rfom`` solves
+    ``(H - D_j B) y = ||r0|| e_1 - D_j z0`` at the largest nonsingular leading
+    size ``i``; ``rgmres`` takes ``y`` from the least-squares problem
+    ``[[Hbar, D], [0, T]] [y; z] ~ ||r0|| e_1`` with ``T* T = P``; ``method`` is
+    ``"fom"`` or ``"gmres"``. With ``k = 0`` both are FOM/GMRES in the same
+    floating-point operations. Arnoldi stops at the first norm meeting ``threshold``.
     """
     z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
-    dec = _ResidualMonitor(r0, method, threshold, aug, z0).run(as_operator(a), r0, m, reorth)
-    (rows, j), k = dec.hbar.shape, aug.k
-    coupling = compute_coupling(aug, dec.v, dec.hbar)
-    d = (aug.c.conj().T @ dec.v).conj().T  # never conjugate-copies the basis
+    monitor = _ResidualMonitor(r0, method, threshold, aug, z0)
+    dec = monitor.run(as_operator(a), r0, m, reorth)
+    (rows, j), k, d = dec.hbar.shape, aug.k, monitor.d
+    coupling = aug.solve_small((monitor.e if method == "fom" else d).conj().T @ dec.hbar)
     beta_e1 = np.zeros(rows + k, dtype=np.result_type(dec.hbar, d))
     beta_e1[0] = np.linalg.norm(r0)
     if method == "fom":
@@ -81,7 +78,7 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
     else:
         # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
         # can push an eigenvalue below 0 when C lies nearly inside the image
-        evals, evecs = np.linalg.eigh(aug.small - d.conj().T @ d)
+        evals, evecs = np.linalg.eigh(monitor.p)
         lsq = np.zeros((rows + k, j + k), dtype=beta_e1.dtype)
         lsq[:rows, :j] = dec.hbar
         lsq[:rows, j:] = d

@@ -117,6 +117,18 @@ class TestSolve:
         assert f"--rhs file:{rhs} has 2 entries; the system has 8 rows" in err
         assert not out.exists()
 
+    def test_rhs_file_with_digit_separator_names_the_token(self, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1_0 2 3\n")
+        out = tmp_path / "h.csv"
+        code = run(
+            ["solve", "--family", "tridiag:n=3", "--method", "gmres",
+             "--rhs", f"file:{rhs}", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"--rhs file:{rhs}: digit separator '_' in '1_0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_output(self, identity_mtx, tmp_path):
         import json
 

@@ -200,9 +200,12 @@ class TestMatrixMarket:
             read_matrix_market(p)
         assert exc.value.line_no == line
 
-    def test_memory_is_bounded_and_arrays_are_shared(self, tmp_path):
-        # lower triangle of a symmetric banded matrix: about 60k entries, 1.8 MB
-        # (numpy's reader runs about twenty times slower while traced)
+    @staticmethod
+    def _traced_banded_read(tmp_path, trailer=""):
+        """Read the lower triangle of a symmetric banded matrix, about 60k
+        entries and 1.8 MB, followed by ``trailer``, under tracemalloc (numpy's
+        reader runs about twenty times slower while traced). Returns the
+        matrix, the spied COO, the peak traced bytes and the file size."""
         n, half = 10_000, 5
         rows = np.repeat(np.arange(n), half + 1)
         cols = rows - np.tile(np.arange(half + 1), n)
@@ -211,7 +214,7 @@ class TestMatrixMarket:
         vals = np.random.default_rng(0).standard_normal(rows.size)
         body = "".join(f"{r} {c} {v!r}\n" for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()))
         p = tmp_path / "banded.mtx"
-        p.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {rows.size}\n{body}")
+        p.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {rows.size}\n{body}{trailer}")
         tracemalloc.start()
         try:
             a, returned = read_with_spy(p)
@@ -219,12 +222,22 @@ class TestMatrixMarket:
         finally:
             tracemalloc.stop()
         assert a.nnz == 2 * rows.size - n
+        return a, returned, peak, p.stat().st_size
+
+    def test_memory_is_bounded_and_arrays_are_shared(self, tmp_path):
+        a, returned, peak, size = self._traced_banded_read(tmp_path)
         # file text, parsed records and expanded triplets each held once, with
         # indices parsed at the CSR's width, so scipy copies none
-        assert peak <= 2.2 * p.stat().st_size
+        assert peak <= 2.2 * size
         assert [x.dtype for x in returned[0][:2]] == [np.int32, np.int32]
         assert np.shares_memory(a.col_indices, a._csr.indices)
         assert np.shares_memory(a.row_offsets, a._csr.indptr)
+
+    def test_a_comment_in_the_body_costs_one_copy_of_the_file(self, tmp_path):
+        # the comment-free body is built from a view of the file's bytes, so it
+        # is the only extra copy while they are held
+        _, _, peak, size = self._traced_banded_read(tmp_path, "% trailing note\n")
+        assert peak <= 3.2 * size
 
 
 class TestGenerateFamily:
