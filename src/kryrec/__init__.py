@@ -37,7 +37,6 @@ from .baseline import (
 )
 from .core import (
     DimensionError,
-    EigenSolveError,
     RankDeficientError,
     SingularMatrixError,
     SparseMatrix,

@@ -77,12 +77,16 @@ class ArnoldiDecomposition:
     upper Hessenberg and one row per orthonormal column of ``v``: ``j + 1`` of
     them, or ``j`` after a lucky breakdown at step ``j`` (``A V_j = V_j H_j``),
     so ``j`` and ``breakdown`` are read off the shapes. ``step_norms`` holds a
-    solver cycle's ``(i, residual norm)`` pairs, if any.
+    solver cycle's ``(i, residual norm)`` pairs, if any, and ``space`` an
+    augmented cycle's ``(aug, D, E, P)``: the augmentation space it ran with,
+    ``D = v* aug.c``, ``E = v* aug.u`` and ``P = C* C - D* D``; ``None`` for a
+    plain decomposition, which is read as one over the empty space.
     """
 
     v: np.ndarray
     hbar: np.ndarray
     step_norms: list = field(default_factory=list)
+    space: tuple | None = None
 
     @property
     def j(self) -> int:

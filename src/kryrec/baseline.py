@@ -137,7 +137,8 @@ class _ResidualMonitor:
     computed only where the bound meets ``threshold``, from ``E = V_{i+1}* U``.
     Each finite norm computed after step ``i`` is kept as ``(i, norm)`` in
     ``norms``: one per step, except for rfom with augmentation, which keeps
-    only those steps. :meth:`run` extends ``D``, ``P`` and rfom's ``E`` to the whole basis.
+    only those steps. :meth:`run` extends ``D``, ``E`` and ``P`` to the whole basis
+    and puts them on the decomposition, with the space, as its ``space``.
     """
 
     def __init__(self, r, method: str, threshold: float, aug=None, z0=None):
@@ -149,11 +150,12 @@ class _ResidualMonitor:
             self.p = aug.small if method == "gmres" else aug.c.conj().T @ aug.c  # rgmres's is C* C
 
     def run(self, op, r, m: int, reorth: bool):
-        """Arnoldi under this monitor; its norms go on the decomposition."""
+        """Arnoldi under this monitor; its norms and projections go on the decomposition."""
         dec = arnoldi(op, r, m, reorth=reorth, stop=self)
         dec.step_norms = self.norms
         if self.aug is not None:  # a breakdown at step 1 ends the run before any call
-            self._cover(dec.v.T, len(dec.hbar), self.method == "fom")
+            self._cover(dec.v.T, len(dec.hbar), True)
+            dec.space = (self.aug, self.d, self.e, self.p)
         return dec
 
     def _cover(self, vt, rows: int, with_e: bool = False):
@@ -257,7 +259,8 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
     ``step(x, r, cycle, threshold)`` runs one cycle and returns ``(x, r, size)``
     with the achieved cycle size; it may append inner rows to
     ``result.residual_history`` with their counts to ``result.history_matvecs``.
-    A breakdown inside a step ends the loop with ``stop_reason == "breakdown"``.
+    A breakdown inside a step, a singular small system or a recycled space that
+    cannot be factored, ends the loop with ``stop_reason == "breakdown"``.
     The residual is recurred by the steps and checked against ``b - A x`` every
     ``DRIFT_CHECK_EVERY`` cycles and where it meets the threshold; a true
     residual that fails it there goes on instead, unless it is no smaller than
@@ -278,7 +281,7 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
     for cycle in range(1, cfg.max_cycles + 1):
         try:
             x, r, size = step(x, r, cycle, threshold)
-        except (SolverBreakdownError, RankDeficientError):
+        except (SolverBreakdownError, RankDeficientError, SingularMatrixError):
             result.stop_reason = "breakdown"
             break
         rnorm_new = float(np.linalg.norm(r))

@@ -18,7 +18,6 @@ __all__ = [
     "DimensionError",
     "SingularMatrixError",
     "RankDeficientError",
-    "EigenSolveError",
     "SparseMatrix",
     "spmv",
     "dense_solve",
@@ -30,9 +29,6 @@ __all__ = [
 # |pivot| at or below PIVOT_RTOL * ||M||_F declares a factorization singular;
 # matches the breakdown thresholds used by the solver layer.
 PIVOT_RTOL = 1e-14
-
-# Largest dense eigenproblem accepted by small_eig.
-SMALL_EIG_CAP = 512
 
 
 class DimensionError(ValueError):
@@ -49,10 +45,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 class RankDeficientError(np.linalg.LinAlgError):
     """A least-squares matrix does not have full column rank."""
-
-
-class EigenSolveError(np.linalg.LinAlgError):
-    """The dense eigensolver failed to converge."""
 
 
 def check_finite(name: str, a: np.ndarray) -> np.ndarray:
@@ -250,14 +242,4 @@ def small_eig(h: np.ndarray, b: np.ndarray | None = None):
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or (b is not None and np.shape(b) != h.shape):
         raise DimensionError(f"expected square matrices of one shape, got {h.shape}")
-    if h.shape[0] > SMALL_EIG_CAP:
-        raise DimensionError(
-            f"eigenproblem size {h.shape[0]} exceeds cap {SMALL_EIG_CAP}"
-        )
-    if h.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
-    try:
-        values, vectors = scipy.linalg.eig(h, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigenSolveError(str(exc)) from exc
-    return values, vectors
+    return scipy.linalg.eig(h, b)

@@ -52,7 +52,7 @@ class MatrixMarketError(ValueError):
 
 @dataclass
 class ProblemFamily:
-    """Ordered sequence of systems sharing one dimension."""
+    """Ordered sequence of square systems sharing one dimension."""
 
     systems: list  # (SparseMatrix, ndarray rhs, str label)
     provenance: str = ""
@@ -61,8 +61,10 @@ class ProblemFamily:
         if not self.systems:
             raise ValueError("a problem family needs at least one system")
         n = self.systems[0][0].n_rows
-        for a, b, _ in self.systems:
-            if a.n_rows != n or a.n_cols != n or b.shape != (n,):
+        for a, b, label in self.systems:
+            if a.n_rows != a.n_cols:
+                raise ValueError(f"system {label!r} is not square: {a.n_rows} x {a.n_cols}")
+            if a.n_rows != n or b.shape != (n,):
                 raise ValueError("all systems in a family must share one dimension")
 
     def __len__(self):
@@ -140,6 +142,8 @@ def read_matrix_market(path) -> SparseMatrix:
         if "_" in lines[idx]:  # a digit separator, which Python's int and float accept
             raise ValueError(f"digit separator '_' in {lines[idx].strip()!r}")
         n_rows, n_cols, nnz = (int(t) for t in size_parts)
+        if min(n_rows, n_cols, nnz) < 0:
+            raise ValueError(f"negative value in {lines[idx].strip()!r}")
     except ValueError as exc:
         raise MatrixMarketError(f"bad size line: {exc}", idx + 1) from exc
 

@@ -91,32 +91,32 @@ def _selection_order(values: np.ndarray, selection: Selection) -> np.ndarray:
 
 def extract_ritz(
     dec: ArnoldiDecomposition, k: int, selection: Selection = Selection.SMALLEST_MAGNITUDE,
-    aug: AugmentationSpace | None = None, choice: Constraint = Constraint.GALERKIN,
+    choice: Constraint = Constraint.GALERKIN,
 ) -> RitzPairs:
-    """Select ``k`` Ritz pairs of the operator over ``W = [U V_j]``, where
-    ``U = aug.u`` (none without ``aug``) is the space the decomposition's cycle
-    ran with and ``C = aug.c = A U``.
+    """Select ``k`` Ritz pairs of the operator over ``W = [U V_j]``, where ``U``
+    is the space the decomposition's cycle ran with (``dec.space``; none for a
+    plain decomposition) and ``C = A U``.
 
     GALERKIN takes standard Ritz pairs, ``W*AW y = theta W*W y``; MINRES
     harmonic ones, ``(AW)*AW y = theta (AW)*W y``. The small matrices are read
-    off ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)`` through ``E = V_{j+1}* U``,
-    ``D = V_{j+1}* C``, ``U*U``, ``U*C`` and ``C*C`` in the orthonormal basis
-    ``Q = [(U - V_j E_j) P, V_j]``; with no ``U`` the Galerkin one is the
-    square Hessenberg. The vectors ``U y_u + V_j y_v`` come with their images
-    ``C y_u + V_{j+1} Hbar y_v``: no operator is applied. Eigenvectors have
-    their phase normalized (largest entry real positive), keeping the basis
-    deterministic.
+    off ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)`` through the cycle's
+    ``E = V_{j+1}* U``, ``D = V_{j+1}* C`` and ``C*C - D*D``, and ``U*U``, ``U*C``,
+    in the orthonormal basis ``Q = [(U - V_j E_j) P, V_j]``; with no ``U`` the
+    Galerkin one is the square Hessenberg. The vectors ``U y_u + V_j y_v`` come
+    with their images ``C y_u + V_{j+1} Hbar y_v``: no operator is applied, and
+    no basis vector multiplied by ``U`` or ``C``. Eigenvectors have their phase
+    normalized (largest entry real positive), keeping the basis deterministic.
     """
     n, j = dec.v.shape[0], dec.j
-    u = np.zeros((n, 0)) if aug is None else aug.u
-    c = u if aug is None else aug.c
+    none = np.zeros((len(dec.hbar), 0))  # D and E of a plain decomposition: no U
+    # c_gram = C*C - D*D, the Gram matrix of C's part outside span(V_{j+1})
+    aug, d, e, c_gram = dec.space or (AugmentationSpace.empty(n), none, none, np.zeros((0, 0)))
+    u, c = aug.u, aug.c
     if k > u.shape[1] + j:
         raise ValueError(f"requested {k} Ritz vectors from a size-{u.shape[1] + j} space")
     if k == 0:
         return RitzPairs(np.zeros((n, 0)), np.zeros(0, dtype=complex), np.zeros(0), np.zeros((n, 0)))
     v, hbar = dec.v, dec.hbar
-    e = (u.conj().T @ v).conj().T  # never conjugate-copies the basis
-    d = (c.conj().T @ v).conj().T
     # (U - V_j E_j) P is an orthonormal basis of span(U) outside span(V_j), from
     # the Gram difference U*U - E_j* E_j of U's unit-scaled columns
     uu = u.conj().T @ u
@@ -133,7 +133,7 @@ def extract_ritz(
     if choice is Constraint.GALERKIN:
         values, g = small_eig(m)
     else:  # (AQ)* AQ y = theta (AQ)* Q y, and (AQ)* Q = m*
-        top = dh.conj().T @ dh + ph @ (c.conj().T @ c - d.conj().T @ d) @ p
+        top = dh.conj().T @ dh + ph @ c_gram @ p
         values, g = small_eig(
             np.block([[top, dh.conj().T @ hbar], [hbar.conj().T @ dh, hbar.conj().T @ hbar]]), m.conj().T
         )
@@ -173,14 +173,14 @@ def extract_ritz(
     return RitzPairs(basis / norms, values, np.sqrt(sq[0] / sq[1]), images / norms)
 
 
-def _recycled(aug: AugmentationSpace | None, dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, op):
+def _recycled(dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, op):
     """The next space, of the Ritz vectors over ``[U V_j]`` with dependent
     vectors dropped, or the empty space. Their images are ``op`` applied in
     column order or, where ``op`` is None, the ones the Arnoldi relation gave."""
-    k = min(spec.k, dec.j + (0 if aug is None else aug.k))
+    k = min(spec.k, dec.j + (0 if dec.space is None else dec.space[0].k))
     if k < spec.k:
         warnings.warn(f"decomposition supports only {k} of {spec.k} requested Ritz vectors", stacklevel=3)
-    pairs = extract_ritz(dec, k, spec.selection, aug, choice)
+    pairs = extract_ritz(dec, k, spec.selection, choice)
     if pairs.vectors.shape[1] == 0:
         return AugmentationSpace.empty(dec.v.shape[0], choice)
     _, r, piv = scipy.linalg.qr(pairs.vectors, mode="economic", pivoting=True)
@@ -208,7 +208,7 @@ def refresh(
     orthonormalize_c: bool | None = None,
 ) -> AugmentationSpace | None:
     """Rebuild the augmentation space for the operator ``a`` of a new system
-    from the latest decomposition and the space ``old_aug`` its cycle ran with.
+    from the latest decomposition, which carries the space its cycle ran with.
 
     Without a decomposition ``old_aug`` is returned untouched, and with
     ``spec.k == 0`` the empty space (zero matvecs either way). Otherwise the
@@ -222,7 +222,7 @@ def refresh(
     _check_orthonormalize_c(choice, orthonormalize_c)
     if dec is None:
         return old_aug
-    return _recycled(old_aug, dec, spec, choice, as_operator(a))
+    return _recycled(dec, spec, choice, as_operator(a))
 
 
 def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: bool | None = None):
@@ -238,7 +238,7 @@ def per_cycle_recycler(spec: RecycleSpec, choice: Constraint, orthonormalize_c: 
     def callback(op, aug, dec):
         if spec.refresh_policy is not RefreshPolicy.PER_CYCLE:
             return None
-        return _recycled(aug, dec, spec, choice, None)
+        return _recycled(dec, spec, choice, None)
 
     return callback
 

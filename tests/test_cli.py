@@ -48,6 +48,18 @@ class TestSolve:
         assert run(["solve", "--matrix", str(p), "--method", "gmres"]) == 1
         assert capsys.readouterr().err.startswith("kryrec: error: non-ASCII byte")
 
+    @pytest.mark.parametrize(
+        "size,message",
+        [("2 3 1", "is not square: 2 x 3"), ("-1 -1 0", "bad size line: negative value in '-1 -1 0' (line 2)")],
+        ids=["rectangular", "negative"],
+    )
+    def test_bad_size_line_exits_1_with_message(self, tmp_path, capsys, size, message):
+        p = tmp_path / "m.mtx"
+        p.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n")
+        assert run(["solve", "--matrix", str(p), "--method", "gmres", "--out", str(tmp_path / "h.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
+
     def test_unknown_flag_exits_1(self, capsys):
         code = run(["solve", "--matrix", "x.mtx", "--method", "fom", "--bogus"])
         assert code == 1
@@ -207,6 +219,20 @@ class TestCompare:
 
     def test_requires_input(self):
         assert run(["compare", "--methods", "fom"]) == 1
+
+    def test_a_recycled_space_that_cannot_be_factored_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "d.mtx"
+        body = "\n".join(f"{i} {i} {float(i) if i > 1 else 0.0}" for i in range(1, 61))
+        p.write_text(f"%%MatrixMarket matrix coordinate real general\n60 60 60\n{body}\n")
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            code = run(
+                ["compare", "--matrix", str(p), "--methods", "rfom", "-k", "3", "-m", "8",
+                 "--refresh", "cycle", "--out", str(tmp_path / "h_")]
+            )
+        assert code == 2
+        out, err = capsys.readouterr()
+        *_, cycles, matvecs, _, ok = out.splitlines()[-1].split()
+        assert (cycles, matvecs, ok) == ("6", "48", "NO") and "Traceback" not in err
 
     def test_matvec_accounting_in_records(self, tmp_path):
         # Every row's matvecs is the operator's count when the row was written:

@@ -111,6 +111,8 @@ class TestMatrixMarket:
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n2 1 1.0\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n% note_1\n1_2 12 1\n1 1 1.0\n", 3),
+            ("%%MatrixMarket matrix coordinate real general\n-1 -1 0\n", 2),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", 2),
             # too wide for the int32 indices numpy's path parses
             ("%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.0\n3000000000 2 1.0\n", 4),
         ],

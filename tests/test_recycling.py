@@ -16,6 +16,7 @@ from kryrec.recycling import (
     solve_family,
 )
 from kryrec.unprojected import unproj_solve
+from test_recycling_properties import carrying
 
 
 def full_grade_decomposition():
@@ -129,7 +130,7 @@ class TestExtractRitz:
         assert dec.breakdown == 4 and dec.v.shape == (20, 4)
         u = np.random.default_rng(0).standard_normal((20, 3))
         aug = build_augmentation(a, u, choice)
-        pairs = extract_ritz(dec, 5, Selection.SMALLEST_MAGNITUDE, aug, choice)
+        pairs = extract_ritz(carrying(dec, aug), 5, Selection.SMALLEST_MAGNITUDE, choice)
         assert np.linalg.norm(a.to_dense() @ pairs.vectors - pairs.images) <= 1e-12 * a.frobenius_norm()
         # the Krylov space is invariant, so its smallest eigenpairs are exact
         assert np.allclose(pairs.values[:2], [1.0, 2.0], atol=1e-12)
@@ -267,7 +268,7 @@ class TestRealOperator:
         cfg = SolverConfig(20, 1e-8, max_cycles=500)
         choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
         first = unproj_solve(a, b, None, None, cfg, method)
-        pairs = extract_ritz(first.final_decomposition, 6, Selection.SMALLEST_MAGNITUDE, None, choice)
+        pairs = extract_ritz(first.final_decomposition, 6, Selection.SMALLEST_MAGNITUDE, choice)
         assert np.count_nonzero(pairs.values.imag) >= 2
         assert pairs.vectors.dtype == pairs.images.dtype == np.float64
 
@@ -334,3 +335,15 @@ class TestSolveFamily:
         cfg = SolverConfig(15, 1e-8, max_cycles=60)
         spent = [s for _, s in solve_family(systems, "rfom", cfg, RecycleSpec(k=4))]
         assert spent == [0, 4]
+
+    def test_a_recycled_space_that_cannot_be_factored_ends_the_solve(self):
+        # a zero eigenvalue: the per-cycle Ritz vectors come to meet a singular U* C
+        d = np.arange(1.0, 61.0)
+        d[0] = 0.0
+        b = np.random.default_rng(0).standard_normal(60)
+        systems = [(SparseMatrix.diagonal(d), b / np.linalg.norm(b), "s")]
+        cfg, spec = SolverConfig(8, 1e-8, max_cycles=200), RecycleSpec(3, refresh_policy="cycle")
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            res, _ = next(solve_family(systems, "rfom", cfg, spec))
+        assert res.stop_reason == "breakdown" and not res.converged
+        assert (res.cycles_used, res.matvec_count) == (6, 48)
