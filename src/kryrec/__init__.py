@@ -42,7 +42,6 @@ from .core import (
     SparseMatrix,
     dense_lstsq,
     dense_solve,
-    small_eig,
     spmv,
 )
 from .io import (

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import OperatorHandle, arnoldi, as_operator
-from .core import DimensionError, SingularMatrixError, dense_solve, small_pivots
+from .core import DimensionError, SingularMatrixError, dense_solve, small_pivots, warn_caller
 
 __all__ = [
     "Constraint",
@@ -52,6 +52,13 @@ class Constraint(Enum):
 
     GALERKIN = "galerkin"
     MINRES = "minres"
+
+    @classmethod
+    def of(cls, method: str) -> "Constraint":
+        """GALERKIN for ``"rfom"``, MINRES for ``"rgmres"``; else ``ValueError``."""
+        if method not in ("rfom", "rgmres"):
+            raise ValueError(f"method must be 'rfom' or 'rgmres', got {method!r}")
+        return cls.GALERKIN if method == "rfom" else cls.MINRES
 
 
 @dataclass
@@ -141,10 +148,7 @@ def _factored_space(u: np.ndarray, c: np.ndarray, choice: Constraint) -> Augment
     small = u.conj().T @ c
     cond = np.linalg.cond(small)
     if cond > SMALL_COND_WARN:
-        warnings.warn(
-            f"test-space product is ill-conditioned (cond ~ {cond:.2e})",
-            stacklevel=3,
-        )
+        warn_caller(f"test-space product is ill-conditioned (cond ~ {cond:.2e})")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         small_lu = scipy.linalg.lu_factor(small, check_finite=False)

@@ -8,7 +8,6 @@ blocks reused by the augmented methods.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     check_finite,
     dense_lstsq,
     dense_solve,
+    warn_caller,
 )
 
 __all__ = [
@@ -294,11 +294,7 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
             gap = float(np.linalg.norm(r - true_r) / max(np.linalg.norm(b), 1e-300))
             result.max_drift_gap = max(result.max_drift_gap, gap)
             if gap > DRIFT_WARN_RTOL:
-                warnings.warn(
-                    f"recurred residual drifted from true residual: "
-                    f"relative gap {gap:.2e} at cycle {cycle}",
-                    stacklevel=3,
-                )
+                warn_caller(f"recurred residual drifted from true residual: relative gap {gap:.2e} at cycle {cycle}")
             true_norm = float(np.linalg.norm(true_r))
             if rnorm_new <= threshold < true_norm:
                 stalled = true_norm >= failed_norm

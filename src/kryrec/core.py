@@ -7,6 +7,7 @@ large operator that is ever multiplied.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,13 +23,20 @@ __all__ = [
     "spmv",
     "dense_solve",
     "dense_lstsq",
-    "small_eig",
     "check_finite",
 ]
 
 # |pivot| at or below PIVOT_RTOL * ||M||_F declares a factorization singular;
 # matches the breakdown thresholds used by the solver layer.
 PIVOT_RTOL = 1e-14
+
+
+def warn_caller(message: str) -> None:
+    """Emit ``message`` as a ``UserWarning`` attributed to the first frame outside kryrec."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class DimensionError(ValueError):
@@ -230,16 +238,3 @@ def dense_lstsq(m: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"min |R_ii| = {np.abs(np.diag(r)).min():.3e}"
         )
     return scipy.linalg.solve_triangular(r, q.conj().T @ b, check_finite=False)
-
-
-def small_eig(h: np.ndarray, b: np.ndarray | None = None):
-    """All eigenpairs of a small dense matrix, or of the pencil ``h x = theta b x``.
-
-    Returns ``(values, vectors)`` with unit-norm eigenvector columns, sorted
-    as returned by the QR (or QZ) algorithm (no ordering guarantee); an
-    infinite eigenvalue of a pencil with singular ``b`` comes back non-finite.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or (b is not None and np.shape(b) != h.shape):
-        raise DimensionError(f"expected square matrices of one shape, got {h.shape}")
-    return scipy.linalg.eig(h, b)

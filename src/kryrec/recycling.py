@@ -10,7 +10,6 @@ no matvecs; across systems the image is recomputed against the new operator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -21,7 +20,7 @@ import scipy.linalg
 from .arnoldi import ArnoldiDecomposition, as_operator
 from .augmented import AugmentationSpace, Constraint, _factored_space
 from .baseline import SolverConfig
-from .core import PIVOT_RTOL, small_eig
+from .core import warn_caller
 from .unprojected import unproj_solve
 
 # A direction of U outside span(V_j) is kept when its squared norm relative to
@@ -69,10 +68,11 @@ class RecycleSpec:
 
 
 class RitzPairs(NamedTuple):
-    """Selected Ritz vectors (unit columns), their values, residual norms
-    ``||A u - theta u||`` and images ``A u``. A real problem's conjugate pair
-    is the real and imaginary parts of its vector, each with the pair's norm.
-    """
+    """An orthonormal basis ``W`` of the selected Ritz vectors' span, the Ritz
+    values, the column norms of ``A W - W T`` and the images ``A W``. ``T`` is the
+    leading block of the reordered Schur form (standard pairs) or ``T_b^{-1} S_b``
+    of the reordered QZ form's (harmonic pairs), so ``A W - W T`` is orthogonal
+    to ``W`` or ``A W``; a real problem's conjugate pair is a 2 x 2 block of it."""
 
     vectors: np.ndarray
     values: np.ndarray
@@ -89,6 +89,14 @@ def _selection_order(values: np.ndarray, selection: Selection) -> np.ndarray:
     return np.lexsort(keys)
 
 
+def _lapack(name: str, select, *matrices, **options):
+    """LAPACK's ``name`` for the matrices' type; its outputs but ``info``, which must be 0."""
+    *out, info = scipy.linalg.get_lapack_funcs(name, matrices)(select, *matrices, **options)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info {info}")
+    return out
+
+
 def extract_ritz(
     dec: ArnoldiDecomposition, k: int, selection: Selection = Selection.SMALLEST_MAGNITUDE,
     choice: Constraint = Constraint.GALERKIN,
@@ -102,10 +110,12 @@ def extract_ritz(
     off ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)`` through the cycle's
     ``E = V_{j+1}* U``, ``D = V_{j+1}* C`` and ``C*C - D*D``, and ``U*U``, ``U*C``,
     in the orthonormal basis ``Q = [(U - V_j E_j) P, V_j]``; with no ``U`` the
-    Galerkin one is the square Hessenberg. The vectors ``U y_u + V_j y_v`` come
-    with their images ``C y_u + V_{j+1} Hbar y_v``: no operator is applied, and
-    no basis vector multiplied by ``U`` or ``C``. Eigenvectors have their phase
-    normalized (largest entry real positive), keeping the basis deterministic.
+    Galerkin one is the square Hessenberg. Their Schur (QZ) form is reordered so
+    the selected values lead, and its leading Schur vectors ``w`` give the
+    orthonormal vectors ``Q w = U y_u + V_j y_v`` with their images
+    ``C y_u + V_{j+1} Hbar y_v``: no operator is applied, and no basis vector
+    multiplied by ``U`` or ``C``. Fewer than ``k`` columns come back where a
+    conjugate pair does not fit or too few values are finite.
     """
     n, j = dec.v.shape[0], dec.j
     none = np.zeros((len(dec.hbar), 0))  # D and E of a plain decomposition: no U
@@ -130,66 +140,54 @@ def extract_ritz(
     dh = (d - hbar @ e[:j]) @ p
     m = np.block([[lph @ dh[j:], lph @ hbar[j:]], [dh[:j], dec.h]])
     m[: p.shape[1], : p.shape[1]] += ph @ (u.conj().T @ c - e.conj().T @ d) @ p
+    real = not np.iscomplexobj(m)
     if choice is Constraint.GALERKIN:
-        values, g = small_eig(m)
+        t, _, *ev, z, _ = _lapack("gees", lambda *_: 0, m)
+        beta = 1.0
     else:  # (AQ)* AQ y = theta (AQ)* Q y, and (AQ)* Q = m*
         top = dh.conj().T @ dh + ph @ c_gram @ p
-        values, g = small_eig(
-            np.block([[top, dh.conj().T @ hbar], [hbar.conj().T @ dh, hbar.conj().T @ hbar]]), m.conj().T
-        )
-    for i in range(g.shape[1]):
-        pivot = g[np.argmax(np.abs(g[:, i])), i]
-        if pivot != 0:
-            g[:, i] = g[:, i] * (np.conj(pivot) / abs(pivot))
-    # an infinite value (a harmonic one where H is singular) has no Ritz vector
+        gram = np.block([[top, dh.conj().T @ hbar], [hbar.conj().T @ dh, hbar.conj().T @ hbar]])
+        s, tb, _, *ev, beta, ql, z, _ = _lapack("gges", lambda *_: 0, gram, m.conj().T)
+    # beta = 0 where H is singular: an infinite harmonic value has no Ritz vector
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (ev[0] + 1j * ev[1] if real else ev[0]) / beta
     order = _selection_order(values, selection)
     order = order[np.isfinite(values[order])]
     if len(order) < k:
-        warnings.warn(f"decomposition supports only {len(order)} of {k} requested Ritz vectors", stacklevel=2)
-    # on a real problem a conjugate pair is kept whole, as its vector's real and
-    # imaginary parts, or left out when it does not fit; its partner comes with it
-    real = not np.iscomplexobj(m)
-    cols, picked = [], []
+        warn_caller(f"decomposition supports only {len(order)} of {k} requested Ritz vectors")
+    # on a real problem a conjugate pair, a 2 x 2 block led by its value with
+    # the positive imaginary part, is kept whole or left out when it does not fit
+    select = np.zeros(len(values), dtype=np.int32)
     for i in order:
         width = 2 if real and values[i].imag > 0 else 1
-        if not (real and values[i].imag < 0) and len(cols) + width <= k:
-            cols += [g[:, i].real, g[:, i].imag][:width] if real else [g[:, i]]
-            picked += [values[i], values[i].conj()][:width]
-    w = np.column_stack(cols) if cols else np.zeros((g.shape[0], 0))
-    values = np.array(picked, dtype=complex)
+        if not (real and values[i].imag < 0) and select.sum() + width <= k:
+            select[i : i + width] = 1
+    # reordering keeps the order of the values it moves to the front
+    values, taken = values[select == 1], select.sum()
+    if choice is Constraint.GALERKIN:
+        t, z = _lapack("trsen", select, t, z, job="N")[:2]
+    else:
+        s, tb, *_, z, _, _, _, _ = _lapack("tgsen", select, s, tb, ql, z, ijob=0)
+        t = scipy.linalg.solve_triangular(tb[:taken, :taken], s[:taken, :taken], check_finite=False)
+    w = z[:, :taken]
     y_u = p @ w[: p.shape[1]]
     y_v = w[p.shape[1] :] - e[:j] @ y_u
     basis = dec.basis @ y_v + u @ y_u
     images = v @ (hbar @ y_v) + c @ y_u
-    # A [x y] = [x y] [[a, b], [-b, a]] for a pair's columns, which both report
-    # the residual of its complex vector x + iy
-    theta = np.diag(values.real if real else values)
-    pair = np.flatnonzero((values.imag > 0) & real)
-    theta[pair, pair + 1], theta[pair + 1, pair] = values[pair].imag, -values[pair].imag
-    norms = np.linalg.norm(basis, axis=0)
-    norms[norms == 0] = 1.0
-    sq = np.stack([np.linalg.norm(images - basis @ theta, axis=0), norms]) ** 2
-    sq[:, pair] = sq[:, pair + 1] = sq[:, pair] + sq[:, pair + 1]
-    return RitzPairs(basis / norms, values, np.sqrt(sq[0] / sq[1]), images / norms)
+    return RitzPairs(basis, values, np.linalg.norm(images - basis @ t[:taken, :taken], axis=0), images)
 
 
 def _recycled(dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, op):
-    """The next space, of the Ritz vectors over ``[U V_j]`` with dependent
-    vectors dropped, or the empty space. Their images are ``op`` applied in
-    column order or, where ``op`` is None, the ones the Arnoldi relation gave."""
+    """The next space, of the orthonormal Ritz basis over ``[U V_j]``, or the
+    empty space. Its image is ``op`` applied in column order or, where ``op`` is
+    None, the one the Arnoldi relation gave."""
     k = min(spec.k, dec.j + (0 if dec.space is None else dec.space[0].k))
     if k < spec.k:
-        warnings.warn(f"decomposition supports only {k} of {spec.k} requested Ritz vectors", stacklevel=3)
-    pairs = extract_ritz(dec, k, spec.selection, choice)
-    if pairs.vectors.shape[1] == 0:
+        warn_caller(f"decomposition supports only {k} of {spec.k} requested Ritz vectors")
+    u, _, _, c = extract_ritz(dec, k, spec.selection, choice)
+    if u.shape[1] == 0:
         return AugmentationSpace.empty(dec.v.shape[0], choice)
-    _, r, piv = scipy.linalg.qr(pairs.vectors, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    keep = np.sort(piv[diag >= PIVOT_RTOL * max(diag[0], 1e-300)])
-    if len(keep) < pairs.vectors.shape[1]:
-        warnings.warn(f"dropping {pairs.vectors.shape[1] - len(keep)} dependent Ritz vectors", stacklevel=3)
-    u = pairs.vectors[:, keep]
-    c = pairs.images[:, keep] if op is None else np.column_stack([op(u[:, i]) for i in range(len(keep))])
+    c = c if op is None else np.column_stack([op(x) for x in u.T])
     return _factored_space(u, c, choice)
 
 
@@ -212,9 +210,9 @@ def refresh(
 
     Without a decomposition ``old_aug`` is returned untouched, and with
     ``spec.k == 0`` the empty space (zero matvecs either way). Otherwise the
-    Ritz vectors of :func:`extract_ritz` over ``[U V_j]`` (standard for
-    GALERKIN, harmonic for MINRES) are taken, dependent columns dropped, and
-    the image recomputed against ``a`` (k matvecs), so recycling across a
+    orthonormal Ritz basis of :func:`extract_ritz` over ``[U V_j]`` (standard
+    for GALERKIN, harmonic for MINRES) is taken and its image recomputed
+    against ``a`` (one matvec a column), so recycling across a
     family always validates the image identity against the current operator.
     ``orthonormalize_c`` is retired: only ``None`` or ``choice is Constraint.MINRES``
     passes, and it goes once the benchmark's call sites stop passing it.
@@ -250,7 +248,7 @@ def solve_family(systems, method: str, cfg: SolverConfig, spec: RecycleSpec):
     new operator, spending ``refresh_matvecs`` (0 on the first system), which
     ``result.matvec_count`` leaves out. Every solve gets :func:`per_cycle_recycler`,
     which rebuilds the space between cycles only under PER_CYCLE."""
-    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
+    choice = Constraint.of(method)
     aug = dec = None
     for a, b, _ in systems:
         op = as_operator(a)

@@ -124,12 +124,10 @@ def unproj_solve(
     callback may replace the augmentation space between cycles; it returns the
     new space or ``None`` to keep it.
     """
-    if method not in ("rfom", "rgmres"):
-        raise ValueError(f"method must be 'rfom' or 'rgmres', got {method!r}")
+    choice = Constraint.of(method)
     op, b, x = _check_inputs(a, b, x0)
     start_count = op.matvec_count
 
-    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
     if isinstance(u0, AugmentationSpace):
         aug = u0
     elif u0 is None or np.ndim(u0) == 2 and np.shape(u0)[1] == 0:

@@ -9,7 +9,6 @@ from kryrec.core import (
     SparseMatrix,
     dense_lstsq,
     dense_solve,
-    small_eig,
     spmv,
 )
 
@@ -201,47 +200,3 @@ class TestDenseLstsq:
     def test_zero_matrix_is_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             dense_lstsq(np.zeros((3, 2)), np.ones(3))
-
-
-class TestSmallEig:
-    def test_diagonal(self):
-        values, vectors = small_eig(np.diag([3.0, 1.0, 2.0]))
-        assert sorted(np.real(values)) == pytest.approx([1.0, 2.0, 3.0])
-        for i in range(3):
-            w = vectors[:, i]
-            assert np.linalg.norm(np.diag([3.0, 1.0, 2.0]) @ w - values[i] * w) < 1e-12
-
-    def test_symmetric_pair(self):
-        values, _ = small_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sorted(np.real(values)) == pytest.approx([-1.0, 1.0])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_residuals_on_random_hessenberg(self, seed):
-        rng = np.random.default_rng(seed)
-        h = np.triu(rng.standard_normal((10, 10)), k=-1)
-        values, vectors = small_eig(h)
-        hf = np.linalg.norm(h)
-        for i in range(10):
-            w = vectors[:, i]
-            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-            assert np.linalg.norm(h @ w - values[i] * w) <= 1e-10 * hf
-
-    def test_no_size_cap(self):
-        # a Ritz step over an m = 520 cycle solves an eigenproblem this large
-        h = np.diag(np.arange(1.0, 514.0)) + np.diag(np.ones(512), 1)
-        values, vectors = small_eig(h)
-        assert values.shape == (513,) and vectors.shape == (513, 513)
-        assert np.allclose(np.sort(values.real), np.arange(1.0, 514.0))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_pencil_residuals(self, seed):
-        rng = np.random.default_rng(seed)
-        h, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8)) + 4 * np.eye(8)
-        values, vectors = small_eig(h, b)
-        for i in range(8):
-            w = vectors[:, i]
-            assert np.linalg.norm(h @ w - values[i] * (b @ w)) <= 1e-10 * np.linalg.norm(h)
-
-    def test_pencil_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            small_eig(np.eye(3), np.eye(2))

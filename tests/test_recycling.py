@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from kryrec.recycling import (
     solve_family,
 )
 from kryrec.unprojected import unproj_solve
-from test_recycling_properties import carrying
+from test_recycling_properties import assert_same_values, carrying, schur_residual
 
 
 def full_grade_decomposition():
@@ -66,11 +68,10 @@ class TestExtractRitz:
         a, dec = full_grade_decomposition()
         pairs = extract_ritz(dec, 3, Selection.SMALLEST_MAGNITUDE)
         assert np.allclose(np.sort(pairs.values.real), [1.0, 2.0, 3.0], atol=1e-9)
-        ad = a.to_dense()
-        for i in range(3):
-            v = pairs.vectors[:, i]
-            theta = pairs.values[i]
-            assert np.linalg.norm(ad @ v - theta * v) <= 1e-9 * np.linalg.norm(ad)
+        # at full grade the orthonormal basis W spans an invariant subspace:
+        # A W = W T, with T = W* A W the leading Schur block
+        ad, w = a.to_dense(), pairs.vectors
+        assert np.linalg.norm(ad @ w - w @ (w.conj().T @ ad @ w)) <= 1e-9 * np.linalg.norm(ad)
 
     def test_smallest_real_selection(self):
         a = SparseMatrix.diagonal([-3.0, 5.0, 1.0, -1.0])
@@ -103,14 +104,12 @@ class TestExtractRitz:
         a = SparseMatrix.from_dense(rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n))
         dec = arnoldi(a, rng.standard_normal(n), m)
         pairs = extract_ritz(dec, 4)
-        ad = a.to_dense()
-        # the complex Ritz vectors lifted from H; a real column of a conjugate
-        # pair reports the residual of its pair's complex vector
-        values, w = np.linalg.eig(dec.h)
-        for i in range(4):
-            z = dec.basis @ w[:, np.argmin(np.abs(values - pairs.values[i]))]
-            direct = np.linalg.norm(ad @ z - pairs.values[i] * z) / np.linalg.norm(z)
-            assert direct == pytest.approx(pairs.residuals[i], abs=1e-10)
+        ad, w = a.to_dense(), pairs.vectors
+        # the columns of A W - W T, T = W* A W the leading block of H's reordered
+        # Schur form; a conjugate pair is one real 2 x 2 block of T
+        t = w.conj().T @ ad @ w
+        assert_same_values(np.linalg.eigvals(t), pairs.values, rtol=0, atol=1e-10)
+        assert np.linalg.norm(ad @ w - w @ t, axis=0) == pytest.approx(pairs.residuals, abs=1e-10)
 
     def test_determinism(self):
         _, dec = full_grade_decomposition()
@@ -132,9 +131,12 @@ class TestExtractRitz:
         aug = build_augmentation(a, u, choice)
         pairs = extract_ritz(carrying(dec, aug), 5, Selection.SMALLEST_MAGNITUDE, choice)
         assert np.linalg.norm(a.to_dense() @ pairs.vectors - pairs.images) <= 1e-12 * a.frobenius_norm()
-        # the Krylov space is invariant, so its smallest eigenpairs are exact
-        assert np.allclose(pairs.values[:2], [1.0, 2.0], atol=1e-12)
-        assert np.max(pairs.residuals[:2]) <= 1e-12
+        # the Krylov space is invariant, so its smallest eigenvalues are exact
+        # Ritz values; the others come from U and lie above them
+        assert np.allclose(np.sort(pairs.values.real)[:2], [1.0, 2.0], atol=1e-12)
+        r, t = schur_residual(pairs, choice)
+        assert_same_values(np.linalg.eigvals(t), pairs.values, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(r, axis=0), pairs.residuals, atol=1e-12)
 
     def test_magnitude_ties_broken_by_real_then_imaginary_part(self):
         from kryrec.recycling import _selection_order
@@ -209,14 +211,18 @@ class TestRefresh:
             aug = refresh(a, None, dec, RecycleSpec(k=9), Constraint.GALERKIN)
         assert aug.k == 4
 
-    def test_dependent_ritz_vectors_dropped_with_warning(self):
-        # a 2x2 Jordan block: both Ritz vectors are the same basis column
+    def test_a_jordan_blocks_schur_basis_keeps_both_directions(self):
+        # a 2x2 Jordan block: both its Ritz vectors are the first basis column,
+        # while its Schur basis spans both columns
         v = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
         dec = ArnoldiDecomposition(v=v, hbar=np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.5]]))
         a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
-        with pytest.warns(UserWarning, match="dropping 1 dependent Ritz vectors"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             aug = refresh(a, None, dec, RecycleSpec(k=2), Constraint.GALERKIN)
-        assert aug.k == 1
+        assert aug.k == 2
+        assert np.allclose(aug.u.T @ aug.u, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose(aug.u @ (aug.u.T @ v[:, :2]), v[:, :2], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("choice", list(Constraint))
     def test_retired_orthonormalize_c_only_repeats_the_constraint(self, choice):
@@ -254,6 +260,25 @@ class TestPerCycleRecycler:
         # the image comes from the Arnoldi relation, not from the operator
         assert op.matvec_count == 0
         assert np.linalg.norm(a.to_dense() @ aug.u - aug.c) <= 1e-12 * a.frobenius_norm()
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_near_defective_pairs_recycle_without_warning(self, delta):
+        # two 2x2 blocks, eigenvalues 0.05 +- delta and 0.07 +- delta, whose
+        # eigenvectors are about delta apart: Ritz vectors for them are nearly
+        # dependent and made U* C ill-conditioned; a Schur basis is orthonormal
+        n = 300
+        rng = np.random.default_rng(0)
+        d = np.diag(np.linspace(1.0, 10.0, n))
+        d[:2, :2] = [[0.05, 1.0], [delta**2, 0.05]]
+        d[2:4, 2:4] = [[0.07, 1.0], [delta**2, 0.07]]
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a, b = q @ d @ q.T, rng.standard_normal(n)
+        recycler = per_cycle_recycler(RecycleSpec(4, refresh_policy="cycle"), Constraint.GALERKIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = unproj_solve(a, b, None, None, SolverConfig(15, 1e-8, max_cycles=500), "rfom", recycler=recycler)
+        # the counts of the eigenvector basis, which warned at every delta
+        assert res.converged and (res.matvec_count, res.cycles_used) == (54, 4)
 
 
 class TestRealOperator:
@@ -343,7 +368,9 @@ class TestSolveFamily:
         b = np.random.default_rng(0).standard_normal(60)
         systems = [(SparseMatrix.diagonal(d), b / np.linalg.norm(b), "s")]
         cfg, spec = SolverConfig(8, 1e-8, max_cycles=200), RecycleSpec(3, refresh_policy="cycle")
-        with pytest.warns(UserWarning, match="ill-conditioned"):
+        with pytest.warns(UserWarning, match="ill-conditioned") as record:
             res, _ = next(solve_family(systems, "rfom", cfg, spec))
+        # each warning names this file, the caller, not a line inside kryrec
+        assert {w.filename for w in record} == {__file__}
         assert res.stop_reason == "breakdown" and not res.converged
         assert (res.cycles_used, res.matvec_count) == (6, 48)
