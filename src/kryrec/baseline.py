@@ -45,7 +45,7 @@ DRIFT_WARN_RTOL = 1e-6
 
 
 class SolverBreakdownError(RuntimeError):
-    """Singular small system at every leading size inside a cycle."""
+    """Singular small system at every leading size inside a cycle, or a failed small eigensolve."""
 
 
 @dataclass

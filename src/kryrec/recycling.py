@@ -19,12 +19,12 @@ import scipy.linalg
 
 from .arnoldi import ArnoldiDecomposition, as_operator
 from .augmented import AugmentationSpace, Constraint, _factored_space
-from .baseline import SolverConfig
+from .baseline import SolverBreakdownError, SolverConfig
 from .core import warn_caller
 from .unprojected import unproj_solve
 
 # A direction of U outside span(V_j) is kept when its squared norm relative to
-# U's unit-scaled columns exceeds this: a Gram difference resolves about 1e-16.
+# U's unit-scaled columns exceeds this.
 GRAM_RTOL = 1e-8
 
 __all__ = [
@@ -90,10 +90,11 @@ def _selection_order(values: np.ndarray, selection: Selection) -> np.ndarray:
 
 
 def _lapack(name: str, select, *matrices, **options):
-    """LAPACK's ``name`` for the matrices' type; its outputs but ``info``, which must be 0."""
+    """LAPACK's ``name`` for the matrices' type; its outputs but ``info``. A nonzero
+    ``info`` (no convergence, a rejected reordering) raises SolverBreakdownError."""
     *out, info = scipy.linalg.get_lapack_funcs(name, matrices)(select, *matrices, **options)
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info {info}")
+        raise SolverBreakdownError(f"LAPACK {name} failed with info {info}")
     return out
 
 
@@ -106,47 +107,48 @@ def extract_ritz(
     plain decomposition) and ``C = A U``.
 
     GALERKIN takes standard Ritz pairs, ``W*AW y = theta W*W y``; MINRES
-    harmonic ones, ``(AW)*AW y = theta (AW)*W y``. The small matrices are read
-    off ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)`` through the cycle's
-    ``E = V_{j+1}* U``, ``D = V_{j+1}* C`` and ``C*C - D*D``, and ``U*U``, ``U*C``,
-    in the orthonormal basis ``Q = [(U - V_j E_j) P, V_j]``; with no ``U`` the
-    Galerkin one is the square Hessenberg. Their Schur (QZ) form is reordered so
-    the selected values lead, and its leading Schur vectors ``w`` give the
-    orthonormal vectors ``Q w = U y_u + V_j y_v`` with their images
-    ``C y_u + V_{j+1} Hbar y_v``: no operator is applied, and no basis vector
-    multiplied by ``U`` or ``C``. Fewer than ``k`` columns come back where a
-    conjugate pair does not fit or too few values are finite.
+    harmonic ones, ``(AW)*AW y = theta (AW)*W y``. Both are read off the
+    orthonormal basis ``Q = [x, V_j]``, with ``x`` an orthonormal basis of U's
+    part outside span(V_j), ``U - V_j E_j`` for the cycle's ``E = V_{j+1}* U``,
+    and its image ``A x`` from ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)``; with
+    no ``U`` the Galerkin matrix is the square Hessenberg. The Schur (QZ) form
+    is reordered so the selected values lead, and its leading Schur vectors
+    ``w`` give the orthonormal vectors ``Q w`` and their images
+    ``[A x, V_{j+1} Hbar] w``: no operator is applied. Fewer than ``k`` columns
+    come back where a conjugate pair does not fit or too few values are finite.
     """
     n, j = dec.v.shape[0], dec.j
     none = np.zeros((len(dec.hbar), 0))  # D and E of a plain decomposition: no U
-    # c_gram = C*C - D*D, the Gram matrix of C's part outside span(V_{j+1})
-    aug, d, e, c_gram = dec.space or (AugmentationSpace.empty(n), none, none, np.zeros((0, 0)))
+    aug, d, e, _ = dec.space or (AugmentationSpace.empty(n), none, none, None)
     u, c = aug.u, aug.c
     if k > u.shape[1] + j:
         raise ValueError(f"requested {k} Ritz vectors from a size-{u.shape[1] + j} space")
     if k == 0:
         return RitzPairs(np.zeros((n, 0)), np.zeros(0, dtype=complex), np.zeros(0), np.zeros((n, 0)))
-    v, hbar = dec.v, dec.hbar
-    # (U - V_j E_j) P is an orthonormal basis of span(U) outside span(V_j), from
-    # the Gram difference U*U - E_j* E_j of U's unit-scaled columns
-    uu = u.conj().T @ u
-    scale = np.sqrt(np.diag(uu).real)
-    lam, z = np.linalg.eigh((uu - e[:j].conj().T @ e[:j]) / np.outer(scale, scale))
-    p = z[:, lam > GRAM_RTOL] / np.outer(scale, np.sqrt(lam[lam > GRAM_RTOL]))
-    # Q = [(U - V_j E_j) P, V_j]: V_{j+1}* Q = [[0, I], [E[j] P, 0]] and
-    # V_{j+1}* A Q = [(D - Hbar E_j) P, Hbar]; the rest of Q* A Q comes from
-    # the parts of U and C outside V_{j+1}
-    ph, lph = p.conj().T, (e[j:] @ p).conj().T
-    dh = (d - hbar @ e[:j]) @ p
-    m = np.block([[lph @ dh[j:], lph @ hbar[j:]], [dh[:j], dec.h]])
-    m[: p.shape[1], : p.shape[1]] += ph @ (u.conj().T @ c - e.conj().T @ d) @ p
+    v, hbar, vj = dec.v, dec.hbar, dec.basis
+    # x: an orthonormal basis of U's part outside span(V_j) (its directions above
+    # GRAM_RTOL), ax = A x and vax = V_{j+1}* A x. Where that part has lost over
+    # half its squared norm, x is orthogonalized against V_j and normalized a second
+    # time, and vax formed from ax ("twice is enough"), so all three hold to rounding
+    scale = np.sqrt(np.einsum("ij,ij->j", u.conj(), u).real)
+    x, ax, vax = u - vj @ e[:j], c - v @ (hbar @ e[:j]), d - hbar @ e[:j]
+    for sweep in range(2):
+        lam, z = np.linalg.eigh(x.conj().T @ x / np.outer(scale, scale))
+        keep = lam > GRAM_RTOL
+        to_unit = z[:, keep] / np.outer(scale, np.sqrt(lam[keep]))
+        x, ax, vax = x @ to_unit, ax @ to_unit, vax @ to_unit
+        if sweep or np.all(lam[keep] > 0.5):
+            break
+        again = vj.conj().T @ x
+        x, ax, scale = x - vj @ again, ax - v @ (hbar @ again), np.ones(x.shape[1])
+        vax = v.conj().T @ ax
+    m = np.block([[x.conj().T @ ax, x.conj().T @ v[:, j:] @ hbar[j:]], [vax[:j], dec.h]])
     real = not np.iscomplexobj(m)
     if choice is Constraint.GALERKIN:
         t, _, *ev, z, _ = _lapack("gees", lambda *_: 0, m)
         beta = 1.0
     else:  # (AQ)* AQ y = theta (AQ)* Q y, and (AQ)* Q = m*
-        top = dh.conj().T @ dh + ph @ c_gram @ p
-        gram = np.block([[top, dh.conj().T @ hbar], [hbar.conj().T @ dh, hbar.conj().T @ hbar]])
+        gram = np.block([[ax.conj().T @ ax, vax.conj().T @ hbar], [hbar.conj().T @ vax, hbar.conj().T @ hbar]])
         s, tb, _, *ev, beta, ql, z, _ = _lapack("gges", lambda *_: 0, gram, m.conj().T)
     # beta = 0 where H is singular: an infinite harmonic value has no Ritz vector
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,11 +171,9 @@ def extract_ritz(
     else:
         s, tb, *_, z, _, _, _, _ = _lapack("tgsen", select, s, tb, ql, z, ijob=0)
         t = scipy.linalg.solve_triangular(tb[:taken, :taken], s[:taken, :taken], check_finite=False)
-    w = z[:, :taken]
-    y_u = p @ w[: p.shape[1]]
-    y_v = w[p.shape[1] :] - e[:j] @ y_u
-    basis = dec.basis @ y_v + u @ y_u
-    images = v @ (hbar @ y_v) + c @ y_u
+    w_x, w_v = z[: x.shape[1], :taken], z[x.shape[1] :, :taken]
+    basis = x @ w_x + vj @ w_v
+    images = ax @ w_x + v @ (hbar @ w_v)
     return RitzPairs(basis, values, np.linalg.norm(images - basis @ t[:taken, :taken], axis=0), images)
 
 

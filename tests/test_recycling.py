@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kryrec.arnoldi import ArnoldiDecomposition, arnoldi, as_operator
 from kryrec.augmented import Constraint
@@ -374,3 +375,22 @@ class TestSolveFamily:
         assert {w.filename for w in record} == {__file__}
         assert res.stop_reason == "breakdown" and not res.converged
         assert (res.cycles_used, res.matvec_count) == (6, 48)
+
+    @pytest.mark.parametrize("method", ["rfom", "rgmres"])
+    def test_a_rejected_schur_reordering_ends_the_solve(self, method, monkeypatch):
+        # LAPACK's trsen and tgsen reject a reordering (info 1) that would swap
+        # eigenvalues too close to separate; stand in for that with a reported info 1
+        lapack = scipy.linalg.get_lapack_funcs
+
+        def rejecting(name, arrays):
+            routine = lapack(name, arrays)
+            if name not in ("trsen", "tgsen"):
+                return routine
+            return lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", rejecting)
+        cfg, spec = SolverConfig(15, 1e-8, max_cycles=60), RecycleSpec(4, refresh_policy="cycle")
+        res, _ = next(solve_family(generate_family("shifted", 200, 1), method, cfg, spec))
+        # the first cycle runs with no space; rebuilding one after it fails
+        assert res.stop_reason == "breakdown" and not res.converged
+        assert res.cycles_used == 1
