@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi, as_operator
+from .augmented import Constraint
 from .core import (
     PIVOT_RTOL,
     RankDeficientError,
@@ -128,26 +129,27 @@ def _leading_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _ResidualMonitor:
-    """Arnoldi ``stop`` callback, true at the first residual norm <= ``threshold``.
-    ``w`` spans the null space of ``Hbar_i*``, ``w_1 = 1``: GMRES's norm is
-    ``beta/||w||``, FOM's ``beta/|w_{i+1}|``. With augmentation,
-    ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step, and the
-    least residual over ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``,
-    ``a = w* D/||w||``: rgmres's norm, and a bound below rfom's, which is
-    computed only where the bound meets ``threshold``, from ``E = V_{i+1}* U``.
-    Each finite norm computed after step ``i`` is kept as ``(i, norm)`` in
-    ``norms``: one per step, except for rfom with augmentation, which keeps
-    only those steps. :meth:`run` extends ``D``, ``E`` and ``P`` to the whole basis
-    and puts them on the decomposition, with the space, as its ``space``.
+    """Arnoldi ``stop`` callback, true at the first residual norm <= ``threshold`` under
+    ``choice`` (GALERKIN for fom/rfom, MINRES for gmres/rgmres), and owner of the cycle's
+    reduced problem (:meth:`reduced`). ``w`` spans the null space of ``Hbar_i*``, ``w_1 = 1``:
+    GMRES's norm is ``beta/||w||``, FOM's ``beta/|w_{i+1}|``. With augmentation,
+    ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step, and the least residual
+    over ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``, ``a = w* D/||w||``: rgmres's
+    norm, and a bound below rfom's, which is computed only where the bound meets
+    ``threshold``, from ``E = V_{i+1}* U``. Each finite norm computed after step ``i`` is
+    kept as ``(i, norm)`` in ``norms``: one per step, except for rfom with augmentation,
+    which keeps only those steps. :meth:`run` extends ``D``, ``E`` and ``P`` to the whole
+    basis and puts them on the decomposition, with the space, as its ``space``.
     """
 
-    def __init__(self, r, method: str, threshold: float, aug=None, z0=None):
+    def __init__(self, r, choice: Constraint, threshold: float, aug=None):
         self.beta, self.threshold = float(np.linalg.norm(r)), threshold
-        self.method, self.aug, self.z0, self.k = method, aug, z0, aug.k if aug else 0
+        self.galerkin, self.aug, self.k = choice is Constraint.GALERKIN, aug, aug.k if aug else 0
         self.norms, self.w = [], [1.0]
-        if aug is not None:  # D, E and P over no basis vector yet
+        if aug is not None:  # z0, and D, E and P over no basis vector yet
+            self.z0 = aug.solve_small(aug.u_tilde.conj().T @ r)
             self.d = self.e = np.zeros((0, self.k))
-            self.p = aug.small if method == "gmres" else aug.c.conj().T @ aug.c  # rgmres's is C* C
+            self.p = aug.c.conj().T @ aug.c if self.galerkin else aug.small  # MINRES's small is C* C
 
     def run(self, op, r, m: int, reorth: bool):
         """Arnoldi under this monitor; its norms and projections go on the decomposition."""
@@ -168,11 +170,11 @@ class _ResidualMonitor:
 
     def __call__(self, i: int, vt, hbar) -> bool:
         self.w.append(-np.vdot(hbar[:i, i - 1], self.w) / hbar[i, i - 1])
-        if self.method == "fom" and not self.k:
+        if self.galerkin and not self.k:
             norm = self.beta / abs(self.w[i]) if self.w[i] else np.inf
         else:
             norm = self._min_residual(i, vt)
-            if self.method == "fom":
+            if self.galerkin:
                 if norm > self.threshold:
                     return False
                 norm = self._galerkin_norm(i, vt, hbar)
@@ -198,15 +200,39 @@ class _ResidualMonitor:
     def _galerkin_norm(self, i: int, vt, hbar) -> float:
         """rfom's residual norm at size ``i``; infinite where its matrix is singular."""
         self._cover(vt, i + 1, True)
-        hb, d, rhs = hbar[: i + 1, :i], self.d, self.beta * np.eye(i + 1)[0]
-        coupling = self.aug.solve_small(self.e.conj().T @ hb)
+        hb = hbar[: i + 1, :i]
         try:
-            y = dense_solve(hb[:i] - d[:i] @ coupling, rhs[:i] - d[:i] @ self.z0)
+            y, z, _ = self.reduced(hb, dense_solve)
         except SingularMatrixError:
             return np.inf
-        z = self.z0 - coupling @ y
-        top = rhs - hb @ y - d @ z
+        top = self.beta * np.eye(i + 1)[0] - hb @ y - self.d @ z
         return float(np.sqrt(np.vdot(top, top).real + max(np.vdot(z, self.p @ z).real, 0.0)))
+
+    def reduced(self, hbar, square_solve=_leading_solve):
+        """The corrections ``V_i y`` and ``U z`` over the covered ``(rows, j)``
+        Hessenberg ``hbar``, read off ``A [V_j U] = [V_{j+1} C] blkdiag(Hbar, I)``:
+        ``z = z0 - B_i y``, ``B = (small)^{-1} X* Hbar`` with ``X`` = ``E`` for
+        Galerkin, ``D`` for MINRES (whose small product is ``I``). Galerkin solves
+        ``(H - D_j B) y = beta e_1 - D_j z0`` by ``square_solve``, which may return
+        a leading ``y``; MINRES solves ``[[Hbar, D], [0, T]] [y; z] ~ beta e_1``,
+        ``T* T = P``, so ``hbar`` has every covered row. Returns ``(y, z, B_i)``."""
+        (rows, j), d = hbar.shape, self.d[: len(hbar)]
+        coupling = self.aug.solve_small((self.e[:rows] if self.galerkin else d).conj().T @ hbar)
+        beta_e1 = np.zeros(rows + self.k, dtype=np.result_type(hbar, d))
+        beta_e1[0] = self.beta
+        if self.galerkin:
+            y = square_solve(hbar[:j] - d[:j] @ coupling, beta_e1[:j] - d[:j] @ self.z0)
+        else:
+            # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
+            # can push an eigenvalue below 0 when C lies nearly inside the image
+            evals, evecs = np.linalg.eigh(self.p)
+            lsq = np.zeros((rows + self.k, j + self.k), dtype=beta_e1.dtype)
+            lsq[:rows, :j] = hbar
+            lsq[:rows, j:] = d
+            lsq[rows:, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
+            y = dense_lstsq(lsq, beta_e1)[:j]
+        coupling = coupling[:, : len(y)]
+        return y, self.z0 - coupling @ y, coupling
 
 
 def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
@@ -218,7 +244,7 @@ def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 
     :class:`SolverBreakdownError` when no size is nonsingular. Stops at the
     first residual norm ``<= threshold``.
     """
-    dec = _ResidualMonitor(r, "fom", threshold).run(as_operator(a), r, m, reorth)
+    dec = _ResidualMonitor(r, Constraint.GALERKIN, threshold).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return _leading_solve(dec.h, rhs), dec
@@ -230,7 +256,7 @@ def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float 
     Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``;
     stops at the first residual norm ``<= threshold``.
     """
-    dec = _ResidualMonitor(r, "gmres", threshold).run(as_operator(a), r, m, reorth)
+    dec = _ResidualMonitor(r, Constraint.MINRES, threshold).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(len(dec.hbar), dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return dense_lstsq(dec.hbar, rhs), dec

@@ -27,10 +27,8 @@ from .baseline import (
     _ResidualMonitor,
     _check_inputs,
     _krylov_update,
-    _leading_solve,
     _run_cycles,
 )
-from .core import dense_lstsq
 
 __all__ = [
     "AugmentedSolveResult",
@@ -51,49 +49,22 @@ class AugmentedSolveResult(SolveResult):
     final_decomposition: object = None
 
 
-def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, method, threshold):
-    """The cycle shared by ``rfom`` and ``rgmres``.
-
-    Every reduced quantity is read off the unprojected Arnoldi relation
-    ``r0 = ||r0|| V_{j+1} e_1``, ``A [V_j U] = [V_{j+1} C] blkdiag(Hbar, I)``,
-    through the residual monitor's ``D = V_{j+1}* C``, ``E = V_{j+1}* U`` and
-    ``P = C* C - D* D``; the corrections are ``V_i y`` and ``U z`` with
-    ``z = z0 - B_i y``, ``B = (small)^{-1} X* Hbar``, where ``X`` is ``E`` for
-    Galerkin and ``D`` for MINRES, whose small product is ``I``. ``rfom`` solves
-    ``(H - D_j B) y = ||r0|| e_1 - D_j z0`` at the largest nonsingular leading
-    size ``i``; ``rgmres`` takes ``y`` from the least-squares problem
-    ``[[Hbar, D], [0, T]] [y; z] ~ ||r0|| e_1`` with ``T* T = P``; ``method`` is
-    ``"fom"`` or ``"gmres"``. With ``k = 0`` both are FOM/GMRES in the same
-    floating-point operations. Arnoldi stops at the first norm meeting ``threshold``.
-    """
-    z0 = aug.solve_small(aug.u_tilde.conj().T @ r0)
-    monitor = _ResidualMonitor(r0, method, threshold, aug, z0)
+def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, choice, threshold):
+    """The cycle shared by ``rfom`` (``choice`` GALERKIN) and ``rgmres`` (MINRES): Arnoldi
+    on the plain operator under the residual monitor, stopped at the first norm meeting
+    ``threshold``, then the monitor's reduced solution; FOM/GMRES bit for bit at ``k = 0``."""
+    if aug.k > 0 and aug.choice is not choice:
+        raise ValueError(f"a {choice.value} cycle requires a {choice.value} augmentation space")
+    monitor = _ResidualMonitor(r0, choice, threshold, aug)
     dec = monitor.run(as_operator(a), r0, m, reorth)
-    (rows, j), k, d = dec.hbar.shape, aug.k, monitor.d
-    coupling = aug.solve_small((monitor.e if method == "fom" else d).conj().T @ dec.hbar)
-    beta_e1 = np.zeros(rows + k, dtype=np.result_type(dec.hbar, d))
-    beta_e1[0] = np.linalg.norm(r0)
-    if method == "fom":
-        y = _leading_solve(dec.h - d[:j] @ coupling, beta_e1[:j] - d[:j] @ z0)
-    else:
-        # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
-        # can push an eigenvalue below 0 when C lies nearly inside the image
-        evals, evecs = np.linalg.eigh(monitor.p)
-        lsq = np.zeros((rows + k, j + k), dtype=beta_e1.dtype)
-        lsq[:rows, :j] = dec.hbar
-        lsq[:rows, j:] = d
-        lsq[rows:, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
-        y = dense_lstsq(lsq, beta_e1)[:j]
-    coupling = coupling[:, : len(y)]
-    return y, z0 - coupling @ y, dec, coupling
+    y, z, coupling = monitor.reduced(dec.hbar)
+    return y, z, dec, coupling
 
 
 def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
     """One augmented FOM cycle on the plain-operator Krylov space (Galerkin
     constraint), stopped at a residual norm <= ``threshold``. Returns ``(y, z, dec, coupling)``."""
-    if aug.k > 0 and aug.choice is not Constraint.GALERKIN:
-        raise ValueError("rfom requires a Galerkin-constrained augmentation space")
-    return _augmented_cycle(a, aug, r0, m, reorth, "fom", threshold)
+    return _augmented_cycle(a, aug, r0, m, reorth, Constraint.GALERKIN, threshold)
 
 
 def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
@@ -101,9 +72,7 @@ def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reort
     residual over the Krylov plus augmentation space), stopped at a residual norm
     <= ``threshold``; requires a minimum-residual space, whose image columns are
     orthonormal. Returns ``(y, z, dec, coupling)``."""
-    if aug.k > 0 and aug.choice is not Constraint.MINRES:
-        raise ValueError("rgmres requires a minimum-residual augmentation space")
-    return _augmented_cycle(a, aug, r0, m, reorth, "gmres", threshold)
+    return _augmented_cycle(a, aug, r0, m, reorth, Constraint.MINRES, threshold)
 
 
 def unproj_solve(
@@ -135,7 +104,7 @@ def unproj_solve(
     else:
         aug = build_augmentation(op, u0, choice)
 
-    cycle_fn = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
+    cycle_fn = unproj_rfom_cycle if choice is Constraint.GALERKIN else unproj_rgmres_cycle
     result = AugmentedSolveResult(
         x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k
     )

@@ -157,3 +157,35 @@ def test_cycle_stops_at_first_size_meeting_threshold(method, k, m, extra, comple
         assert dec.step_norms == exact
     else:
         assert not exact
+
+
+@pytest.mark.parametrize("method", ["rfom", "rgmres"])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(1, 30),
+    extra=st.integers(1, 10),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stopped_cycle_has_the_residual_its_monitor_kept(method, k, m, extra, complex_, seed):
+    """The cycle's reduced solution and the monitor's norm come from one
+    reduced problem: the true residual of the corrections a threshold stopped
+    at is the last norm the monitor kept."""
+    a, aug, r0, rng = instance(method, k, m, extra, complex_, seed)
+    beta = np.linalg.norm(r0)
+    full = run_cycle(method, a, aug, r0, m, 0.0)
+    oracle = oracle_norms(a, aug, r0, full.v, range(1, m + 1))
+    norms = {i: pair[method == "rfom"] for i, pair in oracle.items()}
+    # a threshold just above the norm at a size well above the rounding floor,
+    # so the cycle stops there or earlier
+    sizes = [i for i, norm in norms.items() if norm > 1e-8 * beta]
+    if not sizes:
+        return
+    threshold = norms[sizes[int(rng.integers(len(sizes)))]] * (1 + 1e-3)
+    cycle = unproj_rfom_cycle if method == "rfom" else unproj_rgmres_cycle
+    y, z, dec, _ = cycle(a, aug, r0, m, threshold=threshold)
+    i, norm = dec.step_norms[-1]
+    assert i == dec.j == len(y) and norm <= threshold
+    r_new = r0 - a @ (dec.v[:, :i] @ y + aug.u @ z)
+    assert abs(np.linalg.norm(r_new) - norm) <= 1e-12 * beta
