@@ -16,7 +16,6 @@ import scipy.linalg
 from .arnoldi import arnoldi, as_operator
 from .augmented import Constraint
 from .core import (
-    PIVOT_RTOL,
     RankDeficientError,
     SingularMatrixError,
     check_finite,
@@ -133,23 +132,24 @@ class _ResidualMonitor:
     ``choice`` (GALERKIN for fom/rfom, MINRES for gmres/rgmres), and owner of the cycle's
     reduced problem (:meth:`reduced`). ``w`` spans the null space of ``Hbar_i*``, ``w_1 = 1``:
     GMRES's norm is ``beta/||w||``, FOM's ``beta/|w_{i+1}|``. With augmentation,
-    ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step, and the least residual
-    over ``[V_i U]`` is ``(beta/||w||)/sqrt(1 + a P^+ a*)``, ``a = w* D/||w||``: rgmres's
-    norm, and a bound below rfom's, which is computed only where the bound meets
-    ``threshold``, from ``E = V_{i+1}* U``. Each finite norm computed after step ``i`` is
-    kept as ``(i, norm)`` in ``norms``: one per step, except for rfom with augmentation,
-    which keeps only those steps. :meth:`run` extends ``D``, ``E`` and ``P`` to the whole
-    basis and puts them on the decomposition, with the space, as its ``space``.
+    ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step. For a fixed ``z`` the best
+    ``y`` leaves ``|c - a* z|^2 + z* P z``, ``c = beta/||w||``, ``a = D* w/||w||``, least,
+    ``c/sqrt(1 + a* x)``, at ``z = c x/(1 + a* x)``, ``x = P^+ a``: rgmres's norm and ``z``, and
+    a bound below rfom's, computed only where it meets ``threshold``, from ``E = V_{i+1}* U``. Each
+    finite norm computed after step ``i`` is kept as ``(i, norm)`` in ``norms``: one per step,
+    except for rfom with augmentation, which keeps only those steps. :meth:`run` extends ``D``
+    and ``E`` to the whole basis and puts them on the decomposition, with the space, as ``space``.
     """
 
     def __init__(self, r, choice: Constraint, threshold: float, aug=None):
         self.beta, self.threshold = float(np.linalg.norm(r)), threshold
         self.galerkin, self.aug, self.k = choice is Constraint.GALERKIN, aug, aug.k if aug else 0
         self.norms, self.w = [], [1.0]
-        if aug is not None:  # z0, and D, E and P over no basis vector yet
-            self.z0 = aug.solve_small(aug.u_tilde.conj().T @ r)
+        if aug is not None:  # z0, the least-residual z, and D, E and P over no basis vector yet
+            self.z0, self.z = aug.solve_small(aug.u_tilde.conj().T @ r), np.zeros(self.k)
             self.d = self.e = np.zeros((0, self.k))
-            self.p = aug.c.conj().T @ aug.c if self.galerkin else aug.small  # MINRES's small is C* C
+            self.p = aug.c.conj().T @ aug.c
+            self.tiny = np.finfo(float).eps * np.linalg.norm(self.p)  # P's rounding level
 
     def run(self, op, r, m: int, reorth: bool):
         """Arnoldi under this monitor; its norms and projections go on the decomposition."""
@@ -157,7 +157,7 @@ class _ResidualMonitor:
         dec.step_norms = self.norms
         if self.aug is not None:  # a breakdown at step 1 ends the run before any call
             self._cover(dec.v.T, len(dec.hbar), True)
-            dec.space = (self.aug, self.d, self.e, self.p)
+            dec.space = (self.aug, self.d, self.e)
         return dec
 
     def _cover(self, vt, rows: int, with_e: bool = False):
@@ -183,19 +183,24 @@ class _ResidualMonitor:
         return norm <= self.threshold
 
     def _min_residual(self, i: int, vt) -> float:
-        """The least residual over ``[V_i U]``, by a Cholesky solve with ``P``; where
-        rounding left ``P`` indefinite, only over its eigenvalues clearly above 0."""
+        """The least residual over ``[V_i U]`` and its ``z`` (``self.z``), by a Cholesky solve with
+        ``P``; where ``P`` is singular to rounding, by ``[a*; S] z ~ c e_1``, ``S* S = P`` clipped
+        at 0, over singular values above rounding, so ``z`` is 0 along ``C`` inside ``A V_i``."""
         wnorm = np.linalg.norm(self.w)
+        c = self.beta / wnorm
         if not self.k:
-            return float(self.beta / wnorm)
+            return float(c)
         self._cover(vt, i + 1)
         a = (self.w @ self.d.conj()) / wnorm  # D* w/||w||
-        _, x, info = scipy.linalg.get_lapack_funcs("posv", (self.p,))(self.p, a)
-        if info:
+        chol, x, info = scipy.linalg.get_lapack_funcs("posv", (self.p,))(self.p, a)
+        if info or np.min(np.abs(np.diag(chol))) ** 2 <= self.tiny:
             evals, evecs = np.linalg.eigh(self.p)
-            keep = evecs[:, evals > PIVOT_RTOL * max(evals[-1], 0.0)]
-            x = keep @ np.linalg.solve(keep.conj().T @ self.p @ keep, keep.conj().T @ a)
-        return float(self.beta / wnorm / np.sqrt(1.0 + np.vdot(a, x).real))
+            lsq = np.vstack([a.conj(), np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T])
+            self.z = c * scipy.linalg.pinv(lsq, atol=np.sqrt(self.tiny))[:, 0]
+            return float(np.linalg.norm(lsq @ self.z - c * np.eye(self.k + 1)[0]))
+        denom = 1.0 + np.vdot(a, x).real
+        self.z = c * x / denom
+        return float(c / np.sqrt(denom))
 
     def _galerkin_norm(self, i: int, vt, hbar) -> float:
         """rfom's residual norm at size ``i``; infinite where its matrix is singular."""
@@ -214,23 +219,16 @@ class _ResidualMonitor:
         ``z = z0 - B_i y``, ``B = (small)^{-1} X* Hbar`` with ``X`` = ``E`` for
         Galerkin, ``D`` for MINRES (whose small product is ``I``). Galerkin solves
         ``(H - D_j B) y = beta e_1 - D_j z0`` by ``square_solve``, which may return
-        a leading ``y``; MINRES solves ``[[Hbar, D], [0, T]] [y; z] ~ beta e_1``,
-        ``T* T = P``, so ``hbar`` has every covered row. Returns ``(y, z, B_i)``."""
+        a leading ``y``; MINRES solves ``Hbar y ~ beta e_1 - D z`` at the least-residual
+        ``z`` of the last step (0 after a breakdown, where ``H`` is square and exact), so
+        ``hbar`` has every covered row. Returns ``(y, z, B_i)``."""
         (rows, j), d = hbar.shape, self.d[: len(hbar)]
         coupling = self.aug.solve_small((self.e[:rows] if self.galerkin else d).conj().T @ hbar)
-        beta_e1 = np.zeros(rows + self.k, dtype=np.result_type(hbar, d))
-        beta_e1[0] = self.beta
+        beta_e1 = self.beta * np.eye(rows, dtype=np.result_type(hbar, d))[0]
         if self.galerkin:
             y = square_solve(hbar[:j] - d[:j] @ coupling, beta_e1[:j] - d[:j] @ self.z0)
         else:
-            # C = V_{j+1} D + Q T, Q orthonormal and orthogonal to V_{j+1}; rounding
-            # can push an eigenvalue below 0 when C lies nearly inside the image
-            evals, evecs = np.linalg.eigh(self.p)
-            lsq = np.zeros((rows + self.k, j + self.k), dtype=beta_e1.dtype)
-            lsq[:rows, :j] = hbar
-            lsq[:rows, j:] = d
-            lsq[rows:, j:] = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.conj().T
-            y = dense_lstsq(lsq, beta_e1)[:j]
+            y = dense_lstsq(hbar, beta_e1 - d @ self.z if rows > j else beta_e1)
         coupling = coupling[:, : len(y)]
         return y, self.z0 - coupling @ y, coupling
 

@@ -119,7 +119,7 @@ def extract_ritz(
     """
     n, j = dec.v.shape[0], dec.j
     none = np.zeros((len(dec.hbar), 0))  # D and E of a plain decomposition: no U
-    aug, d, e, _ = dec.space or (AugmentationSpace.empty(n), none, none, None)
+    aug, d, e = dec.space or (AugmentationSpace.empty(n), none, none)
     u, c = aug.u, aug.c
     if k > u.shape[1] + j:
         raise ValueError(f"requested {k} Ritz vectors from a size-{u.shape[1] + j} space")

@@ -55,9 +55,8 @@ def space_instance(choice, k_u, m, extra, complex_, seed):
 
 
 def carrying(dec, aug):
-    """``dec`` carrying the space ``aug``, with ``D``, ``E`` and ``P`` formed from their definitions."""
-    d = dec.v.conj().T @ aug.c
-    return dataclasses.replace(dec, space=(aug, d, dec.v.conj().T @ aug.u, aug.c.conj().T @ aug.c - d.conj().T @ d))
+    """``dec`` carrying the space ``aug``, with ``D`` and ``E`` formed from their definitions."""
+    return dataclasses.replace(dec, space=(aug, dec.v.conj().T @ aug.c, dec.v.conj().T @ aug.u))
 
 
 def schur_residual(pairs, choice):
@@ -194,7 +193,7 @@ def test_space_near_the_krylov_space(eps, choice, complex_):
 )
 def test_a_cycle_carries_its_projections_to_the_ritz_step(method, k, ritz, m, extra, complex_, breakdown, seed):
     """An augmented cycle's decomposition carries the space it ran with and
-    ``D = V* C``, ``E = V* U`` and ``P = C* C - D* D`` over its whole basis, also
+    ``D = V* C`` and ``E = V* U`` over its whole basis, also
     after a lucky breakdown at step 1, before any monitor call; the Ritz pairs
     read off them are those of the definitions. The basis and the column norms
     of ``A W - W T`` are left out of the comparison: they rotate within the
@@ -216,10 +215,9 @@ def test_a_cycle_carries_its_projections_to_the_ritz_step(method, k, ritz, m, ex
     assert dec.j == (1 if breakdown else m) and (dec.breakdown == 1) == breakdown
     defined = carrying(dataclasses.replace(dec, space=None), aug)
     assert dec.space[0] is aug
-    scales = [np.linalg.norm(x) for x in defined.space[1:3]] + [np.linalg.norm(aug.c.conj().T @ aug.c)]
-    for got, want, scale in zip(dec.space[1:], defined.space[1:], scales):
+    for got, want in zip(dec.space[1:], defined.space[1:]):
         assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= PROJECTION_RTOL * scale
+        assert np.linalg.norm(got - want) <= PROJECTION_RTOL * np.linalg.norm(want)
 
     scale, k_ritz = np.linalg.norm(a), min(ritz, k + dec.j)
     got, want = (extract_ritz(x, k_ritz, Selection.SMALLEST_MAGNITUDE, choice) for x in (dec, defined))

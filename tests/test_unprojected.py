@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ class TestRfomCycle:
         y, z, dec, b = unproj_rfom_cycle(a, AugmentationSpace.empty(4), e1, 2)
         assert np.array_equal(y, y_ref)
 
+    def test_singular_size_keeps_no_norm(self):
+        # H_1 = 0 on the skew block, so the monitor's Galerkin system at size 1
+        # is singular: that size keeps no norm, and size 2 meets the threshold
+        skew = np.diag([1.0, 2.0, 3.0], -1) - np.diag([1.0, 2.0, 3.0], 1)
+        dense = np.zeros((8, 8))
+        dense[:4, :4], dense[4:, 4:] = skew, np.diag([1.0, 2.0, 3.0, 4.0])
+        a = SparseMatrix.from_dense(dense)
+        aug = build_augmentation(a, np.eye(8)[:, 7:], Constraint.GALERKIN)
+        norms, galerkin_norm = [], kryrec.baseline._ResidualMonitor._galerkin_norm
+
+        def spy(self, *args):
+            norms.append(galerkin_norm(self, *args))
+            return norms[-1]
+
+        with mock.patch.object(kryrec.baseline._ResidualMonitor, "_galerkin_norm", spy):
+            y, z, dec, _ = unproj_rfom_cycle(a, aug, np.eye(8)[0], 4, threshold=1e3)
+        assert norms == [np.inf, 2.0]
+        assert dec.step_norms == [(2, 2.0)] and dec.j == 2
+
     def test_decoupled_spaces(self):
         # augmentation basis orthogonal to the whole Krylov space: the
         # reduced system is plain FOM's and z only carries the r0 overlap
@@ -181,16 +201,25 @@ class TestRgmresCycle:
         y_plain = np.linalg.solve(hb.conj().T @ hb, hb.conj().T @ rhs)
         assert np.linalg.norm(y - y_plain) <= 1e-10 * np.linalg.norm(y_plain)
 
-    def test_rank_deficient_problem_raises(self):
+    def test_image_inside_the_krylov_image_is_solved(self):
         # A e1 = e1 ends Arnoldi after one step, and C = e1 repeats its only
-        # column, so the least-squares matrix has an exactly zero pivot
-        from kryrec.core import RankDeficientError
-
+        # column: the minimizer exists, with an exactly zero residual
         a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
         e1 = np.eye(6)[0]
         aug = build_augmentation(a, e1[:, None], Constraint.MINRES)
+        y, z, dec, _ = unproj_rgmres_cycle(a, aug, e1, 4)
+        assert dec.breakdown == 1
+        assert np.array_equal(y, [1.0]) and np.array_equal(z, [0.0])
+        assert not np.any(e1 - a.to_dense() @ (dec.basis @ y + aug.u @ z))
+
+    def test_singular_hessenberg_raises(self):
+        # A e1 = 0 ends Arnoldi after one step with H = [[0]]
+        from kryrec.core import RankDeficientError
+
+        a = SparseMatrix.diagonal(np.arange(0.0, 6.0))
+        aug = build_augmentation(a, np.eye(6)[:, 3:4], Constraint.MINRES)
         with pytest.raises(RankDeficientError):
-            unproj_rgmres_cycle(a, aug, e1, 4)
+            unproj_rgmres_cycle(a, aug, np.eye(6)[0], 4)
 
     def test_requires_orthonormal_image(self):
         a, aug, r0 = rfom_instance(0)  # a Galerkin space
@@ -487,3 +516,15 @@ class TestDegenerateAugmentation:
         assert res.converged or res.stop_reason == "breakdown"
         if res.converged:
             assert np.linalg.norm(b - a.to_dense() @ res.x) <= 1e-9 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_space_inside_the_krylov_space_costs_no_accuracy(self, seed):
+        # U = b/||b|| is V_1, so C = A U lies exactly inside the Krylov image and z
+        # is free along it: rgmres must neither break down nor let z grow until x drifts
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((30, 30)) / np.sqrt(30) + 2 * np.eye(30)
+        b = rng.standard_normal(30)
+        cfg = SolverConfig(8, 1e-8, max_cycles=50)
+        res = unproj_solve(a, b, None, (b / np.linalg.norm(b))[:, None], cfg, "rgmres")
+        assert res.converged and res.max_drift_gap <= 1e-12
+        assert res.matvec_count <= restarted_solve(a, b, None, cfg, "gmres").matvec_count + 1

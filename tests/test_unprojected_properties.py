@@ -1,12 +1,14 @@
 """Property tests of the unprojected augmented cycle over real and complex
 inputs, augmentation sizes ``k`` and cycle lengths ``m``."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kryrec.arnoldi import arnoldi
 from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation, compute_coupling
 from kryrec.baseline import _ResidualMonitor, fom_cycle, gmres_cycle
 from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle
@@ -16,6 +18,12 @@ from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle
 # residual), so the bounds leave a margin of about 200.
 GALERKIN_RTOL = 1e-12
 MINRES_RTOL = 1e-12
+# rgmres against the dense minimum when the image C lies near the Krylov image,
+# relative to ||r0||. The largest gap over the draws below is 5.4e-11, at
+# eps = 1e-7, where P = C* C - D* D resolves C's part outside V_{m+1} no better
+# than its rounding. Over 420 draws at n = 300, m = 20 and seven eps from 1e-5
+# to 0 the largest gap was 1.4e-12.
+NEAR_KRYLOV_RTOL = 1e-10
 # The cycle's D, E, P and coupling against the dense products, relative to
 # the size of what they are formed from; over 3,000 seeded draws of the test
 # below the largest gap was 8.6e-16.
@@ -127,3 +135,32 @@ def test_cycle_reads_its_projections_off_the_monitor(method, k, m, extra, comple
     close(monitor.p, gram - d.conj().T @ d, np.linalg.norm(gram))
     want = compute_coupling(aug, v, dec.hbar)[:, : len(y)]
     close(coupling, want, np.linalg.norm(want))
+
+
+def test_rgmres_with_an_image_near_the_krylov_image():
+    """With ``C = V_{m+1} X + eps N``, ``P = C* C - D* D`` is ``eps^2`` at step ``m`` and
+    rounding can leave it singular or indefinite. A minimizer still exists: rgmres reaches the
+    dense minimum over ``span(C, A V_m)`` without a breakdown, also where the monitor
+    falls back from its Cholesky solve (its only ``eigh`` call)."""
+    eigh, fallbacks = np.linalg.eigh, []
+
+    def counted(p):
+        fallbacks.append(p.shape)
+        return eigh(p)
+
+    n, m = 40, 12
+    draws = itertools.product((1e-5, 1e-7, 1e-9, 1e-12, 0.0), (False, True), range(1, 5), range(2))
+    with mock.patch.object(np.linalg, "eigh", counted):
+        for eps, complex_, k, seed in draws:
+            rng = np.random.default_rng([seed, k, complex_])
+            a = draw(rng, (n, n), complex_) / np.sqrt(2 * n if complex_ else n) + 2 * np.eye(n)
+            r0 = draw(rng, n, complex_)
+            c = arnoldi(a, r0, m).v @ draw(rng, (m + 1, k), complex_) + eps * draw(rng, (n, k), complex_)
+            aug = build_augmentation(a, np.linalg.solve(a, c), Constraint.MINRES)
+            y, z, dec, _ = unproj_rgmres_cycle(a, aug, r0, m)
+            r_new = r0 - a @ (dec.basis @ y) - aug.c @ z
+            cols = np.column_stack([aug.c, a @ dec.basis])
+            w, *_ = np.linalg.lstsq(cols, r0, rcond=None)
+            brute = np.linalg.norm(r0 - cols @ w)
+            assert abs(np.linalg.norm(r_new) - brute) <= NEAR_KRYLOV_RTOL * np.linalg.norm(r0)
+    assert fallbacks
