@@ -77,9 +77,9 @@ class ArnoldiDecomposition:
     upper Hessenberg and one row per orthonormal column of ``v``: ``j + 1`` of
     them, or ``j`` after a lucky breakdown at step ``j`` (``A V_j = V_j H_j``),
     so ``j`` and ``breakdown`` are read off the shapes. ``step_norms`` holds a
-    solver cycle's ``(i, residual norm)`` pairs, if any, and ``space`` an augmented
-    cycle's ``(aug, D, E)``: its augmentation space, ``D = v* aug.c`` and
-    ``E = v* aug.u``; ``None`` for a plain decomposition (the empty space).
+    solver cycle's ``(i, residual norm)`` pairs, if any, and ``space`` every solver
+    cycle's ``(aug, D, E)``: its augmentation space (empty for FOM and GMRES),
+    ``D = v* aug.c`` and ``E = v* aug.u``; ``None`` only for :func:`arnoldi`'s own result.
     """
 
     v: np.ndarray

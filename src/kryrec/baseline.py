@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi, as_operator
-from .augmented import Constraint
+from .augmented import AugmentationSpace, Constraint
 from .core import (
     RankDeficientError,
     SingularMatrixError,
@@ -129,35 +129,34 @@ def _leading_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 class _ResidualMonitor:
     """Arnoldi ``stop`` callback, true at the first residual norm <= ``threshold`` under
-    ``choice`` (GALERKIN for fom/rfom, MINRES for gmres/rgmres), and owner of the cycle's
-    reduced problem (:meth:`reduced`). ``w`` spans the null space of ``Hbar_i*``, ``w_1 = 1``:
-    GMRES's norm is ``beta/||w||``, FOM's ``beta/|w_{i+1}|``. With augmentation,
+    ``choice`` (GALERKIN for fom/rfom, MINRES for gmres/rgmres), and owner of the cycle's reduced
+    problem (:meth:`reduced`) over ``aug`` (empty for fom and gmres). ``w`` spans the null space
+    of ``Hbar_i*``, ``w_1 = 1``: GMRES's norm is ``beta/||w||``, FOM's ``beta/|w_{i+1}|``.
     ``D = V_{i+1}* C`` and ``P = C* C - D* D`` grow a row per step. For a fixed ``z`` the best
     ``y`` leaves ``|c - a* z|^2 + z* P z``, ``c = beta/||w||``, ``a = D* w/||w||``, least,
-    ``c/sqrt(1 + a* x)``, at ``z = c x/(1 + a* x)``, ``x = P^+ a``: rgmres's norm and ``z``, and
-    a bound below rfom's, computed only where it meets ``threshold``, from ``E = V_{i+1}* U``. Each
+    ``c/sqrt(1 + a* x)``, at ``z = c x/(1 + a* x)``, ``x = P^+ a``: rgmres's norm and ``z``, and a
+    bound below rfom's, computed only where it meets ``threshold``, from ``E = V_{i+1}* U``. Each
     finite norm computed after step ``i`` is kept as ``(i, norm)`` in ``norms``: one per step,
-    except for rfom with augmentation, which keeps only those steps. :meth:`run` extends ``D``
-    and ``E`` to the whole basis and puts them on the decomposition, with the space, as ``space``.
+    except for rfom with ``k > 0``, which keeps only those steps. :meth:`run` extends ``D`` and
+    ``E`` to the whole basis and puts them on the decomposition, with the space, as ``space``.
     """
 
-    def __init__(self, r, choice: Constraint, threshold: float, aug=None):
+    def __init__(self, r, choice: Constraint, threshold: float, aug: AugmentationSpace):
         self.beta, self.threshold = float(np.linalg.norm(r)), threshold
-        self.galerkin, self.aug, self.k = choice is Constraint.GALERKIN, aug, aug.k if aug else 0
+        self.galerkin, self.aug, self.k = choice is Constraint.GALERKIN, aug, aug.k
         self.norms, self.w = [], [1.0]
-        if aug is not None:  # z0, the least-residual z, and D, E and P over no basis vector yet
-            self.z0, self.z = aug.solve_small(aug.u_tilde.conj().T @ r), np.zeros(self.k)
-            self.d = self.e = np.zeros((0, self.k))
-            self.p = aug.c.conj().T @ aug.c
-            self.tiny = np.finfo(float).eps * np.linalg.norm(self.p)  # P's rounding level
+        # z0, the least-residual z, and D, E and P over no basis vector yet
+        self.z0, self.z = aug.solve_small(aug.u_tilde.conj().T @ r), np.zeros(self.k)
+        self.d = self.e = np.zeros((0, self.k))
+        self.p = aug.c.conj().T @ aug.c
+        self.tiny = np.finfo(float).eps * np.linalg.norm(self.p)  # P's rounding level
 
     def run(self, op, r, m: int, reorth: bool):
         """Arnoldi under this monitor; its norms and projections go on the decomposition."""
         dec = arnoldi(op, r, m, reorth=reorth, stop=self)
         dec.step_norms = self.norms
-        if self.aug is not None:  # a breakdown at step 1 ends the run before any call
-            self._cover(dec.v.T, len(dec.hbar), True)
-            dec.space = (self.aug, self.d, self.e)
+        self._cover(dec.v.T, len(dec.hbar), True)  # a breakdown at step 1 ends the run before any call
+        dec.space = (self.aug, self.d, self.e)
         return dec
 
     def _cover(self, vt, rows: int, with_e: bool = False):
@@ -238,11 +237,12 @@ def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 
 
     Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
     largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
-    ``len(y)`` may fall short of ``dec.j``. Raises
-    :class:`SolverBreakdownError` when no size is nonsingular. Stops at the
-    first residual norm ``<= threshold``.
+    ``len(y)`` may fall short of ``dec.j``; ``dec.space`` is the empty space, as
+    for rfom at ``k = 0``. Raises :class:`SolverBreakdownError` when no size is
+    nonsingular. Stops at the first residual norm ``<= threshold``.
     """
-    dec = _ResidualMonitor(r, Constraint.GALERKIN, threshold).run(as_operator(a), r, m, reorth)
+    space = AugmentationSpace.empty(len(r), Constraint.GALERKIN)
+    dec = _ResidualMonitor(r, Constraint.GALERKIN, threshold, space).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return _leading_solve(dec.h, rhs), dec
@@ -251,10 +251,11 @@ def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 
 def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
     """One GMRES cycle: Arnoldi plus the small least-squares correction.
 
-    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``;
-    stops at the first residual norm ``<= threshold``.
+    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||`` and ``dec.space``
+    the empty space, as for rgmres at ``k = 0``; stops at the first norm ``<= threshold``.
     """
-    dec = _ResidualMonitor(r, Constraint.MINRES, threshold).run(as_operator(a), r, m, reorth)
+    space = AugmentationSpace.empty(len(r), Constraint.MINRES)
+    dec = _ResidualMonitor(r, Constraint.MINRES, threshold, space).run(as_operator(a), r, m, reorth)
     rhs = np.zeros(len(dec.hbar), dtype=dec.hbar.dtype)
     rhs[0] = np.linalg.norm(r)
     return dense_lstsq(dec.hbar, rhs), dec

@@ -103,26 +103,24 @@ def extract_ritz(
     choice: Constraint = Constraint.GALERKIN,
 ) -> RitzPairs:
     """Select ``k`` Ritz pairs of the operator over ``W = [U V_j]``, where ``U``
-    is the space the decomposition's cycle ran with (``dec.space``; none for a
-    plain decomposition) and ``C = A U``.
+    is the space the decomposition's cycle ran with (``dec.space``; none for
+    :func:`arnoldi`'s own result) and ``C = A U``.
 
-    GALERKIN takes standard Ritz pairs, ``W*AW y = theta W*W y``; MINRES
-    harmonic ones, ``(AW)*AW y = theta (AW)*W y``. Both are read off the
-    orthonormal basis ``Q = [x, V_j]``, with ``x`` an orthonormal basis of U's
-    part outside span(V_j), ``U - V_j E_j`` for the cycle's ``E = V_{j+1}* U``,
-    and its image ``A x`` from ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)``; with
-    no ``U`` the Galerkin matrix is the square Hessenberg. The Schur (QZ) form
-    is reordered so the selected values lead, and its leading Schur vectors
-    ``w`` give the orthonormal vectors ``Q w`` and their images
-    ``[A x, V_{j+1} Hbar] w``: no operator is applied. Fewer than ``k`` columns
-    come back where a conjugate pair does not fit or too few values are finite.
+    GALERKIN takes standard Ritz pairs, ``W*AW y = theta W*W y``; MINRES harmonic
+    ones, ``(AW)*AW y = theta (AW)*W y``. Both are read off the orthonormal basis
+    ``Q = [x, V_j]``, with ``x`` an orthonormal basis of U's part outside span(V_j),
+    ``U - V_j E_j`` for the cycle's ``E = V_{j+1}* U``, and its image ``A x`` from
+    ``A [U V_j] = [C V_{j+1}] blkdiag(I, Hbar)``; with no ``U`` the Galerkin matrix is
+    the square Hessenberg. The Schur (QZ) form is reordered so the selected values
+    lead, and its leading Schur vectors ``w`` give the orthonormal vectors ``Q w`` and
+    their images ``[A x, V_{j+1} Hbar] w``: no operator is applied. Fewer than ``k``
+    columns come back where a conjugate pair does not fit or, with one warning, fewer
+    than ``k`` values are finite, as where ``k`` exceeds the space's size.
     """
     n, j = dec.v.shape[0], dec.j
-    none = np.zeros((len(dec.hbar), 0))  # D and E of a plain decomposition: no U
+    none = np.zeros((len(dec.hbar), 0))  # D and E of arnoldi's own result: no U
     aug, d, e = dec.space or (AugmentationSpace.empty(n), none, none)
     u, c = aug.u, aug.c
-    if k > u.shape[1] + j:
-        raise ValueError(f"requested {k} Ritz vectors from a size-{u.shape[1] + j} space")
     if k == 0:
         return RitzPairs(np.zeros((n, 0)), np.zeros(0, dtype=complex), np.zeros(0), np.zeros((n, 0)))
     v, hbar, vj = dec.v, dec.hbar, dec.basis
@@ -178,13 +176,10 @@ def extract_ritz(
 
 
 def _recycled(dec: ArnoldiDecomposition, spec: RecycleSpec, choice: Constraint, op):
-    """The next space, of the orthonormal Ritz basis over ``[U V_j]``, or the
-    empty space. Its image is ``op`` applied in column order or, where ``op`` is
-    None, the one the Arnoldi relation gave."""
-    k = min(spec.k, dec.j + (0 if dec.space is None else dec.space[0].k))
-    if k < spec.k:
-        warn_caller(f"decomposition supports only {k} of {spec.k} requested Ritz vectors")
-    u, _, _, c = extract_ritz(dec, k, spec.selection, choice)
+    """The next space, of :func:`extract_ritz`'s orthonormal basis of ``spec.k`` Ritz vectors
+    over ``[U V_j]``, or the empty space. Its image is ``op`` applied in column order or,
+    where ``op`` is None, the one the Arnoldi relation gave."""
+    u, _, _, c = extract_ritz(dec, spec.k, spec.selection, choice)
     if u.shape[1] == 0:
         return AugmentationSpace.empty(dec.v.shape[0], choice)
     c = c if op is None else np.column_stack([op(x) for x in u.T])
@@ -208,12 +203,12 @@ def refresh(
     """Rebuild the augmentation space for the operator ``a`` of a new system
     from the latest decomposition, which carries the space its cycle ran with.
 
-    Without a decomposition ``old_aug`` is returned untouched, and with
-    ``spec.k == 0`` the empty space (zero matvecs either way). Otherwise the
-    orthonormal Ritz basis of :func:`extract_ritz` over ``[U V_j]`` (standard
-    for GALERKIN, harmonic for MINRES) is taken and its image recomputed
-    against ``a`` (one matvec a column), so recycling across a
-    family always validates the image identity against the current operator.
+    Without a decomposition ``old_aug`` is returned untouched, and with ``spec.k == 0``
+    the empty space (zero matvecs either way). Otherwise :func:`extract_ritz`'s
+    orthonormal basis of ``spec.k`` Ritz vectors over ``[U V_j]`` (standard for GALERKIN,
+    harmonic for MINRES; fewer, with one warning, where the decomposition supports fewer)
+    is taken and its image recomputed against ``a`` (one matvec a column), so recycling
+    across a family always validates the image identity against the current operator.
     ``orthonormalize_c`` is retired: only ``None`` or ``choice is Constraint.MINRES``
     passes, and it goes once the benchmark's call sites stop passing it.
     """

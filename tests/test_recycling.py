@@ -94,10 +94,14 @@ class TestExtractRitz:
         assert np.linalg.norm(proj) <= 1e-9
         assert np.linalg.matrix_rank(pairs.vectors) == dec.j
 
-    def test_k_too_large_rejected(self):
+    def test_k_above_the_space_warns_once(self):
+        # the space holds 10 Ritz vectors: all 10 come back, with one warning
         _, dec = full_grade_decomposition()
-        with pytest.raises(ValueError):
-            extract_ritz(dec, 11)
+        with pytest.warns(UserWarning, match="supports only 10 of 11 requested Ritz vectors") as record:
+            pairs = extract_ritz(dec, 11)
+        assert len(record) == 1
+        assert pairs.vectors.shape == (10, 10)
+        assert np.allclose(pairs.vectors.conj().T @ pairs.vectors, np.eye(10), atol=1e-12)
 
     def test_residual_formula_matches_direct_computation(self):
         rng = np.random.default_rng(0)
@@ -158,8 +162,12 @@ class TestExtractRitz:
         with pytest.warns(UserWarning, match="supports only 0 of 1 requested Ritz vectors") as more:
             aug = refresh(a, None, dec, RecycleSpec(k=1), Constraint.MINRES)
         assert aug.k == 0
+        # a refresh asking for more than the space holds warns once, from extract_ritz
+        with pytest.warns(UserWarning, match="supports only 0 of 2 requested Ritz vectors") as above:
+            aug = refresh(a, None, dec, RecycleSpec(k=2), Constraint.MINRES)
+        assert aug.k == 0 and len(above) == 1
         # no numpy warning escapes alongside the selection's own
-        assert [w.category for w in record.list + more.list] == [UserWarning, UserWarning]
+        assert [w.category for w in record.list + more.list + above.list] == [UserWarning] * 3
 
 
 class TestRefresh:

@@ -199,8 +199,9 @@ def test_a_cycle_carries_its_projections_to_the_ritz_step(method, k, ritz, m, ex
     of ``A W - W T`` are left out of the comparison: they rotate within the
     selected span with the gap between Ritz values (the column norms moved by
     up to 7.7e-2 ||A||_F over 20,000 draws), but the basis stays the
-    operator's and ``||A W - W T||_F`` does not depend on it. Plain
-    decompositions carry no space."""
+    operator's and ``||A W - W T||_F`` does not depend on it. FOM and GMRES
+    cycles carry the empty space of their constraint; ``arnoldi``'s own
+    decomposition carries none."""
     rng = np.random.default_rng(seed)
     n = m + k + extra
     a = draw(rng, (n, n), complex_) / np.sqrt(2 * n if complex_ else n) + 2 * np.eye(n)
@@ -227,4 +228,7 @@ def test_a_cycle_carries_its_projections_to_the_ritz_step(method, k, ritz, m, ex
     assert np.linalg.norm(a @ got.vectors - got.images) <= IMAGE_RTOL * scale
 
     assert arnoldi(a, r0, m).space is None
-    assert fom_cycle(a, r0, m)[1].space is None and gmres_cycle(a, r0, m)[1].space is None
+    for plain, constraint in ((fom_cycle, Constraint.GALERKIN), (gmres_cycle, Constraint.MINRES)):
+        space, d, e = plain(a, r0, m)[1].space
+        assert space.k == 0 and space.choice is constraint
+        assert d.shape[1] == e.shape[1] == 0

@@ -2,6 +2,7 @@
 inputs, augmentation sizes ``k`` and cycle lengths ``m``."""
 
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from kryrec.arnoldi import arnoldi
 from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation, compute_coupling
-from kryrec.baseline import _ResidualMonitor, fom_cycle, gmres_cycle
-from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle
+from kryrec.baseline import SolverConfig, _ResidualMonitor, fom_cycle, gmres_cycle
+from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
 
 # Bounds relative to ||r0||. Over 4,000 seeded draws of ``cycle_instance``
 # the largest values seen were 1.7e-15 (Galerkin) and 5.2e-15 (minimum
@@ -164,3 +165,28 @@ def test_rgmres_with_an_image_near_the_krylov_image():
             brute = np.linalg.norm(r0 - cols @ w)
             assert abs(np.linalg.norm(r_new) - brute) <= NEAR_KRYLOV_RTOL * np.linalg.norm(r0)
     assert fallbacks
+
+
+def test_a_space_near_the_krylov_space_gives_an_honest_answer():
+    """``U = b/||b|| + eps N`` puts ``U`` inside (``eps = 0``) or near the first Krylov
+    vector. Every solve converges, confirmed by its true residual, or stops with a
+    typed reason; rgmres never breaks down, and no warning escapes but kryrec's own.
+    rfom may stop as ``"breakdown"`` at ``eps = 0``, where ``[V_j U]`` is rank-deficient
+    and its Galerkin matrix is singular at every size."""
+    n, tol = 30, 1e-8
+    cfg = SolverConfig(8, tol, max_cycles=50)
+    for seed, eps, method in itertools.product(range(20), (0.0, 1e-10, 1e-6), ("rfom", "rgmres")):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
+        b = rng.standard_normal(n)
+        u = b / np.linalg.norm(b) + eps * rng.standard_normal(n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = unproj_solve(a, b, None, u[:, None], cfg, method)
+        assert all(w.category is UserWarning for w in caught), [str(w.message) for w in caught]
+        if res.converged:
+            assert res.stop_reason == "converged"
+            assert np.linalg.norm(b - a @ res.x) <= tol * np.linalg.norm(b)
+        else:
+            assert res.stop_reason in ("breakdown", "stagnation", "max_cycles")
+        assert method == "rfom" or res.stop_reason != "breakdown"
