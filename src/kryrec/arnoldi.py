@@ -117,7 +117,9 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
     ``max|I - V* V|`` at about ``ORTH_RTOL``. A lucky breakdown, a next
     subdiagonal entry that vanishes relative to the operator scale, ends the
     run at step ``j`` with ``j`` basis columns and the square ``H_j``, so
-    ``A v[:, :j] = v @ hbar`` holds for every result.
+    ``A v[:, :j] = v @ hbar`` holds for every result. The basis ``vt`` is left
+    uninitialized and only built rows are read, by ``stop`` too; row ``j + 1``
+    is step ``j``'s work vector, and ``op``'s output is copied in, never written.
 
     Parameters
     ----------
@@ -134,35 +136,33 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
         ``stop(i, vt, hbar)`` after each step ``i`` without breakdown; true ends the run.
     """
     op = as_operator(op)
+    n = op.dimension
     r = check_finite("start vector", np.asarray(r))
     if m < 1:
         raise ValueError(f"cycle length must be >= 1, got {m}")
-    if r.shape != (op.dimension,):
-        raise DimensionError(
-            f"start vector shape {r.shape} does not match dimension {op.dimension}"
-        )
+    if r.shape != (n,):
+        raise DimensionError(f"start vector shape {r.shape} does not match dimension {n}")
     beta = np.linalg.norm(r)
     if beta == 0.0:
         raise ArnoldiBreakdownError("start vector is zero")
 
-    n = op.dimension
     w0 = op(r / beta)
+    if np.shape(w0) != (n,):
+        raise DimensionError(f"operator output shape {np.shape(w0)} does not match dimension {n}")
     dtype = np.result_type(r.dtype, w0.dtype, np.float64)
-    vt = np.zeros((m + 1, n), dtype=dtype)  # one basis vector per row
+    vt = np.empty((m + 1, n), dtype=dtype)  # one basis vector per row, uninitialized
     hbar = np.zeros((m + 1, m), dtype=dtype)
+    scratch = np.empty(n, dtype=dtype)  # each update's V h
     vt[0] = r / beta
     scale = np.linalg.norm(w0)
 
-    # w is updated in place, so it must never alias the operator's output
-    w = w0.astype(dtype, copy=True)
     rows = 1  # basis vectors built; a breakdown leaves hbar square
     for j in range(m):
-        if j > 0:
-            w = op(vt[j]).astype(dtype, copy=True)
-        basis = vt[: j + 1]
+        basis, w = vt[: j + 1], vt[j + 1]
+        w[...] = w0 if j == 0 else op(vt[j])
         h = (basis @ w.conj()).conj()
         hbar[: j + 1, j] = h
-        w -= h @ basis
+        w -= np.matmul(h, basis, out=scratch)
         hnext = np.linalg.norm(w)
         if reorth:
             h = (basis @ w.conj()).conj()
@@ -170,12 +170,12 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
             # applied before the breakdown test reads the norm
             if np.max(np.abs(h)) > ORTH_RTOL * hnext:
                 hbar[: j + 1, j] += h
-                w -= h @ basis
+                w -= np.matmul(h, basis, out=scratch)
                 hnext = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * scale:
             break
         hbar[j + 1, j] = hnext
-        vt[j + 1] = w / hnext
+        np.divide(w, hnext, out=w)
         rows = j + 2
         if stop is not None and stop(j + 1, vt, hbar):
             break

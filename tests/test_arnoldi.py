@@ -1,15 +1,21 @@
+import sys
+
 import numpy as np
 import pytest
 
 from kryrec.arnoldi import (
     ORTH_RTOL,
     ArnoldiBreakdownError,
+    ArnoldiDecomposition,
     OperatorHandle,
     arnoldi,
     arnoldi_relation_residual,
     as_operator,
 )
+from kryrec.augmented import Constraint, build_augmentation
+from kryrec.baseline import fom_cycle, gmres_cycle
 from kryrec.core import DimensionError, SparseMatrix
+from kryrec.unprojected import unproj_rgmres_cycle
 from test_acceptance import sparse_random
 
 
@@ -117,11 +123,11 @@ def test_near_grade_spectrum_keeps_orthogonality(complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("kind", ["reused-buffer", "input-view"])
+@pytest.mark.parametrize("kind", ["reused-buffer", "input-view", "read-only"])
 def test_operator_output_aliasing_is_harmless(kind, complex_):
-    # the new vector is updated in place: neither a buffer the operator hands
-    # back on every call nor a view of the basis row it was given may be
-    # written through
+    # the new vector is updated in place in its basis row: neither a buffer the
+    # operator hands back on every call, nor a view of the basis row it was
+    # given, nor a read-only result may be written through
     rng = np.random.default_rng(6)
     n = 50
     dense = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
@@ -136,7 +142,7 @@ def test_operator_output_aliasing_is_harmless(kind, complex_):
         def fresh(v):
             return dense @ v
 
-    else:
+    elif kind == "input-view":
 
         def aliased(v):
             return v[::-1]
@@ -144,10 +150,94 @@ def test_operator_output_aliasing_is_harmless(kind, complex_):
         def fresh(v):
             return v[::-1].copy()
 
+    else:
+
+        def aliased(v):
+            out = dense @ v
+            out.flags.writeable = False
+            return out
+
+        def fresh(v):
+            return dense @ v
+
     dec = arnoldi(OperatorHandle(n, aliased), r, 20)
     ref = arnoldi(OperatorHandle(n, fresh), r, 20)
     assert np.array_equal(dec.v, ref.v)
     assert np.array_equal(dec.hbar, ref.hbar)
+
+
+class PoisonedEmpty:
+    """numpy, except that ``empty`` sets every byte to 0xff, a NaN in every
+    float field, so that reading an element never written shows."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.calls += 1
+        out = np.empty(shape, dtype)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+
+def poison_case(case, complex_, n=60, m=20):
+    """A run of ``arnoldi`` or of a cycle stopped early by its residual monitor."""
+    rng = np.random.default_rng(4)
+    c = 1j if complex_ else 0.0
+    r = rng.standard_normal(n) + c * rng.standard_normal(n)
+    if case == "breakdown":
+        # r touches three eigenspaces: a lucky breakdown at step 3
+        a = np.diag(np.repeat([1.0, 2.0 + c, 3.0 - c], n // 3))
+        return lambda: arnoldi(a, r, m)
+    a = 3.0 * np.eye(n) + (rng.standard_normal((n, n)) + c * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+    if case in ("full", "single-pass"):
+        return lambda: arnoldi(a, r, m, reorth=case == "full")
+    threshold = 1e-6 * np.linalg.norm(r)
+    if case == "fom-stopped":
+        return lambda: fom_cycle(a, r, m, threshold=threshold)
+    if case == "gmres-stopped":
+        return lambda: gmres_cycle(a, r, m, threshold=threshold)
+    # a monitor with a space reads the basis rows to grow D = V* C
+    u = rng.standard_normal((n, 3)) + c * rng.standard_normal((n, 3))
+    aug = build_augmentation(a, u, Constraint.MINRES)
+    return lambda: unproj_rgmres_cycle(a, aug, r, m, threshold=threshold)
+
+
+def run_arrays(out):
+    """The decomposition of a run and every array the run returned, the
+    decomposition's basis, Hessenberg and monitor projections included."""
+    items = out if isinstance(out, tuple) else (out,)
+    dec = next(item for item in items if isinstance(item, ArnoldiDecomposition))
+    arrays = [item for item in items if isinstance(item, np.ndarray)]
+    space = [] if dec.space is None else list(dec.space[1:])
+    return dec, arrays + [dec.v, dec.hbar] + space
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "case", ["full", "single-pass", "breakdown", "fom-stopped", "gmres-stopped", "rgmres-stopped"]
+)
+def test_uninitialized_basis_rows_are_never_read(monkeypatch, case, complex_):
+    # the basis is allocated uninitialized: a run over NaN-filled memory must
+    # give finite results, bit for bit those of a run over fresh memory
+    run = poison_case(case, complex_)
+    dec_ref, ref = run_arrays(run())
+    poisoned = PoisonedEmpty()
+    monkeypatch.setattr(sys.modules[arnoldi.__module__], "np", poisoned)
+    dec, out = run_arrays(run())
+    assert poisoned.calls > 0
+    assert len(out) == len(ref)
+    for x, x_ref in zip(out, ref):
+        assert np.all(np.isfinite(x)) and np.array_equal(x, x_ref)
+    assert dec.step_norms == dec_ref.step_norms
+    if case.endswith("-stopped"):
+        assert dec.j < 20
+    else:
+        assert dec.j == (3 if case == "breakdown" else 20)
+    assert (dec.breakdown is not None) == (case == "breakdown")
 
 
 def test_grade_detection_on_constructed_operator():
@@ -172,6 +262,15 @@ def test_bad_cycle_length_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         arnoldi(SparseMatrix.identity(3), np.ones(2), 2)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3, 1)])
+def test_operator_output_of_another_shape_rejected(shape):
+    # the output is copied into a basis row, over which numpy would broadcast
+    # a scalar or a length-1 vector
+    op = OperatorHandle(3, lambda v: np.ones(shape))
+    with pytest.raises(DimensionError):
+        arnoldi(op, np.ones(3), 2)
 
 
 def test_complex_operator():

@@ -1,7 +1,8 @@
-"""The benchmark's family loop at toy size: a library change that breaks the
-benchmark's positional ``refresh``/``per_cycle_recycler`` calls or its matvec
-accounting, or that moves its recycled counts, fails here, not first in a
-benchmark run; so does one that orphans a binding site the tracer patches."""
+"""The benchmark's family loop and restarted solves at toy size: a library
+change that breaks the benchmark's positional ``refresh``/``per_cycle_recycler``
+calls or its matvec accounting, or that moves its recycled or cold counts, fails
+here, not first in a benchmark run; so does one that orphans a binding site the
+tracer patches."""
 
 import importlib
 from pathlib import Path
@@ -19,21 +20,35 @@ def workloads(monkeypatch):
     return workloads
 
 
-def test_recycle_family_runs_clean_at_toy_size(workloads, tmp_path):
-    class Toy(workloads.RecycleFamily):
-        N, COUNT = 600, 2
-
-    w = Toy(workloads.load_kryrec(), 0, tmp_path / "cache", tmp_path / "out", workloads.Tracer())
+def run_clean(workloads, toy, tmp_path):
+    """One seed-0 sequence of a toy-sized workload, every check passed."""
+    w = toy(workloads.load_kryrec(), 0, tmp_path / "cache", tmp_path / "out", workloads.Tracer())
     w.prepare()
     state = w.build()
     refs = w.references(state)
     records = w.sequence(state, refs)
     assert refs["problems"] == []
-    assert len(records) == len(Toy.CONFIGS) * len(Toy.FAMILIES) * Toy.COUNT
     for rec in records:
         assert rec.problems == [] and not rec.failed(), rec
+    return records
+
+
+def test_recycle_family_runs_clean_at_toy_size(workloads, tmp_path):
+    class Toy(workloads.RecycleFamily):
+        N, COUNT = 600, 2
+
+    records = run_clean(workloads, Toy, tmp_path)
+    assert len(records) == len(Toy.CONFIGS) * len(Toy.FAMILIES) * Toy.COUNT
     # the totals of the Ritz-eigenvector basis, which an orthonormal Schur basis keeps
     assert (sum(r.matvecs for r in records), sum(r.cycles for r in records)) == (1739, 45)
+
+
+def test_cold_large_runs_clean_at_toy_size(workloads, tmp_path):
+    class Toy(workloads.ColdLarge):
+        N = 2_000
+
+    records = run_clean(workloads, Toy, tmp_path)
+    assert [(r.label, r.matvecs, r.cycles) for r in records] == [("fom", 266, 7), ("gmres", 242, 7)]
 
 
 # Sites in perfbench's table that name no attribute of the library. The tracer
