@@ -63,11 +63,6 @@ from .recycling import (
     refresh,
     solve_family,
 )
-from .unprojected import (
-    AugmentedSolveResult,
-    unproj_rfom_cycle,
-    unproj_rgmres_cycle,
-    unproj_solve,
-)
+from .unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Restarted FOM and GMRES.
+"""Restarted FOM and GMRES, and the cycle and restart loop all four methods share.
 
-Each cycle builds an Arnoldi decomposition of the current residual, solves the
-small Hessenberg problem for the Krylov correction and updates the iterate and
-the recurred residual. These are both the reference solvers and the building
-blocks reused by the augmented methods.
+Each cycle runs Arnoldi from the current residual under a residual monitor,
+then solves the small reduced problem for the corrections that update the
+iterate and the recurred residual: over the empty space for FOM and GMRES, over
+an augmentation space in :mod:`kryrec.unprojected`.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ class SolveResult:
     where a recurred norm met the tolerance and the true did not.
     ``history_matvecs[i]`` is the solve's matvec count when row ``i`` was
     written, matvecs spent between cycles included.
+    ``z_norms`` (each cycle's augmentation correction norm), ``k_used`` (the
+    largest space dimension) and ``final_decomposition`` (the source to recycle
+    from: the last cycle to run all ``cycle_length`` steps or break down) are set
+    by ``unproj_solve``; :func:`restarted_solve` keeps no basis past its cycle.
     """
 
     x: np.ndarray
@@ -100,6 +104,9 @@ class SolveResult:
     stop_reason: str = "converged"
     history_matvecs: list = field(default_factory=list)
     max_drift_gap: float = 0.0
+    z_norms: list = field(default_factory=list)
+    k_used: int = 0
+    final_decomposition: object = None
 
     @property
     def cycle_norms(self) -> np.ndarray:
@@ -232,33 +239,41 @@ class _ResidualMonitor:
         return y, self.z0 - coupling @ y, coupling
 
 
+def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, choice, threshold):
+    """The cycle shared by ``fom``/``rfom`` (``choice`` GALERKIN) and ``gmres``/``rgmres``
+    (MINRES): Arnoldi on the plain operator under the residual monitor, stopped at the
+    first norm meeting ``threshold``, then the monitor's reduced solution. Returns
+    ``(y, z, dec, coupling)``."""
+    if aug.k > 0 and aug.choice is not choice:
+        raise ValueError(f"a {choice.value} cycle requires a {choice.value} augmentation space")
+    monitor = _ResidualMonitor(r0, choice, threshold, aug)
+    dec = monitor.run(a, r0, m, reorth)
+    y, z, coupling = monitor.reduced(dec.hbar)
+    return y, z, dec, coupling
+
+
 def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
-    """One FOM cycle: Arnoldi plus the Galerkin correction.
+    """One FOM cycle: the rfom cycle over the empty space.
 
     Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
     largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
-    ``len(y)`` may fall short of ``dec.j``; ``dec.space`` is the empty space, as
-    for rfom at ``k = 0``. Raises :class:`SolverBreakdownError` when no size is
-    nonsingular. Stops at the first residual norm ``<= threshold``.
+    ``len(y)`` may fall short of ``dec.j``. Raises :class:`SolverBreakdownError`
+    when no size is nonsingular. Stops at the first residual norm ``<= threshold``.
     """
-    space = AugmentationSpace.empty(len(r), Constraint.GALERKIN)
-    dec = _ResidualMonitor(r, Constraint.GALERKIN, threshold, space).run(as_operator(a), r, m, reorth)
-    rhs = np.zeros(dec.j, dtype=dec.hbar.dtype)
-    rhs[0] = np.linalg.norm(r)
-    return _leading_solve(dec.h, rhs), dec
+    choice = Constraint.GALERKIN
+    y, _, dec, _ = _augmented_cycle(a, AugmentationSpace.empty(len(r), choice), r, m, reorth, choice, threshold)
+    return y, dec
 
 
 def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
-    """One GMRES cycle: Arnoldi plus the small least-squares correction.
+    """One GMRES cycle: the rgmres cycle over the empty space.
 
-    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||`` and ``dec.space``
-    the empty space, as for rgmres at ``k = 0``; stops at the first norm ``<= threshold``.
+    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``; stops
+    at the first residual norm ``<= threshold``.
     """
-    space = AugmentationSpace.empty(len(r), Constraint.MINRES)
-    dec = _ResidualMonitor(r, Constraint.MINRES, threshold, space).run(as_operator(a), r, m, reorth)
-    rhs = np.zeros(len(dec.hbar), dtype=dec.hbar.dtype)
-    rhs[0] = np.linalg.norm(r)
-    return dense_lstsq(dec.hbar, rhs), dec
+    choice = Constraint.MINRES
+    y, _, dec, _ = _augmented_cycle(a, AugmentationSpace.empty(len(r), choice), r, m, reorth, choice, threshold)
+    return y, dec
 
 
 def _krylov_update(result, cycle, start, x, r, dec, y):
@@ -356,9 +371,9 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
 
     Cycles stop at the first step that meets the tolerance. The residual is
     recurred from the Arnoldi relation and checked against ``b - A x`` at
-    convergence and every ``DRIFT_CHECK_EVERY`` cycles.
-    Stagnation or breakdown ends the loop with ``converged=False`` rather
-    than raising.
+    convergence and every ``DRIFT_CHECK_EVERY`` cycles. Stagnation or breakdown
+    ends the loop with ``converged=False`` rather than raising. Unlike
+    ``unproj_solve`` it keeps no decomposition: one basis is live at a time.
     """
     if method not in ("fom", "gmres"):
         raise ValueError(f"method must be 'fom' or 'gmres', got {method!r}")

@@ -178,6 +178,9 @@ def cli_main(argv=None) -> int:
             bad = [m for m in methods if m not in METHODS]
             if bad:
                 raise ValueError(f"unknown methods: {', '.join(bad)}")
+            repeated = sorted({m for m in methods if methods.count(m) > 1})
+            if repeated:  # a repeat would rewrite its method's history file and summary row
+                raise ValueError(f"duplicate methods: {', '.join(repeated)}")
             if not methods:
                 raise ValueError("--methods must name at least one method")
     except (OSError, ValueError) as exc:

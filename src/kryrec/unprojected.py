@@ -4,8 +4,9 @@ Both methods grow the Krylov space with the plain operator (no projector
 inside the Arnoldi loop) and fold the augmentation space in afterwards: a
 small system read off the Arnoldi relation (square for ``rfom``, least
 squares for ``rgmres``) gives the Krylov correction, and the coupling matrix
-turns it into the augmentation correction. With an empty augmentation space
-the cycles are FOM and GMRES in the same floating-point operations.
+turns it into the augmentation correction. The cycle and the restart loop are
+:mod:`kryrec.baseline`'s: FOM and GMRES are these cycles over the empty space,
+and a solve returns the same :class:`~kryrec.baseline.SolveResult`.
 
 ``rfom`` imposes a Galerkin constraint against the Krylov space and the
 augmentation basis; ``rgmres`` minimizes the residual over the sum of the
@@ -15,50 +16,12 @@ columns are orthonormal by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .arnoldi import as_operator
 from .augmented import AugmentationSpace, Constraint, build_augmentation
-from .baseline import (
-    SolveResult,
-    SolverConfig,
-    _ResidualMonitor,
-    _check_inputs,
-    _krylov_update,
-    _run_cycles,
-)
+from .baseline import SolveResult, SolverConfig, _augmented_cycle, _check_inputs, _krylov_update, _run_cycles
 
-__all__ = [
-    "AugmentedSolveResult",
-    "unproj_rfom_cycle",
-    "unproj_rgmres_cycle",
-    "unproj_solve",
-]
-
-
-@dataclass
-class AugmentedSolveResult(SolveResult):
-    """Solve outcome plus the per-cycle augmentation correction norms.
-    ``final_decomposition``, the source to recycle from, is the last one that ran
-    all ``cycle_length`` steps or broke down: a cycle stopped early is too short."""
-
-    z_norms: list = field(default_factory=list)
-    k_used: int = 0
-    final_decomposition: object = None
-
-
-def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, choice, threshold):
-    """The cycle shared by ``rfom`` (``choice`` GALERKIN) and ``rgmres`` (MINRES): Arnoldi
-    on the plain operator under the residual monitor, stopped at the first norm meeting
-    ``threshold``, then the monitor's reduced solution; FOM/GMRES bit for bit at ``k = 0``."""
-    if aug.k > 0 and aug.choice is not choice:
-        raise ValueError(f"a {choice.value} cycle requires a {choice.value} augmentation space")
-    monitor = _ResidualMonitor(r0, choice, threshold, aug)
-    dec = monitor.run(as_operator(a), r0, m, reorth)
-    y, z, coupling = monitor.reduced(dec.hbar)
-    return y, z, dec, coupling
+__all__ = ["unproj_rfom_cycle", "unproj_rgmres_cycle", "unproj_solve"]
 
 
 def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
@@ -83,7 +46,7 @@ def unproj_solve(
     cfg: SolverConfig,
     method: str,
     recycler=None,
-) -> AugmentedSolveResult:
+) -> SolveResult:
     """Restarted unprojected augmented solve.
 
     ``u0`` seeds the augmentation space (``None`` or a 2-D array of zero
@@ -105,9 +68,7 @@ def unproj_solve(
         aug = build_augmentation(op, u0, choice)
 
     cycle_fn = unproj_rfom_cycle if choice is Constraint.GALERKIN else unproj_rgmres_cycle
-    result = AugmentedSolveResult(
-        x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k
-    )
+    result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k)
 
     def step(x, r, cycle, threshold):
         nonlocal aug

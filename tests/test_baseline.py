@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -345,3 +347,20 @@ def test_singular_reduced_system_at_every_size_is_a_breakdown(method):
         res = unproj_solve(a, b, None, None, cfg, method)
     assert res.stop_reason == "breakdown" and not res.converged
     assert res.cycles_used == 0 and res.matvec_count == 1
+
+
+@pytest.mark.parametrize("method", ["fom", "gmres"])
+def test_no_basis_outlives_its_cycle(method):
+    """A restarted solve holds one Krylov basis at a time (its peak reads 1.29
+    bases): keeping the last cycle's decomposition while the next cycle builds
+    its own would read about 2.3 and lift the process's peak memory with it."""
+    n, m = 20_000, 20
+    a, b = tridiagonal_matrix(n), np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        res = restarted_solve(a, b, None, SolverConfig(m, 1e-12, max_cycles=4), method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.cycles_used == 4 and res.final_decomposition is None
+    assert peak < 1.8 * (m + 1) * n * 8

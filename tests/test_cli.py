@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kryrec.cli
+from kryrec.baseline import restarted_solve
 from kryrec.cli import cli_main
 from kryrec.io import read_history
 from kryrec.unprojected import unproj_solve
@@ -141,6 +142,21 @@ class TestSolve:
         assert f"--rhs file:{rhs}: digit separator '_' in '1_0'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["fom", "gmres"])
+    def test_plain_methods_run_through_restarted_solve(self, identity_mtx, tmp_path, monkeypatch, method):
+        # perfbench's mm-ingest workload captures the CLI's solve through this
+        # very attribute, so the fom/gmres branch must keep calling it
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(args[4])
+            return restarted_solve(*args, **kwargs)
+
+        monkeypatch.setattr(kryrec.cli, "restarted_solve", recorder)
+        out = tmp_path / "h.csv"
+        assert run(["solve", "--matrix", str(identity_mtx), "--method", method, "--out", str(out)]) == 0
+        assert calls == [method]
+
     def test_json_output(self, identity_mtx, tmp_path):
         import json
 
@@ -219,6 +235,16 @@ class TestCompare:
 
     def test_requires_input(self):
         assert run(["compare", "--methods", "fom"]) == 1
+
+    def test_duplicate_methods_rejected(self, tmp_path, capsys):
+        prefix = tmp_path / "h_"
+        code = run(
+            ["compare", "--family", "tridiag:n=16,count=2", "--methods", "gmres,rfom,gmres,fom,rfom",
+             "--out", str(prefix)]
+        )
+        assert code == 1
+        assert "duplicate methods: gmres, rfom" in capsys.readouterr().err
+        assert not list(tmp_path.glob("h_*"))
 
     def test_a_recycled_space_that_cannot_be_factored_exits_2(self, tmp_path, capsys):
         p = tmp_path / "d.mtx"

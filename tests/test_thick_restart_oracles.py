@@ -1,4 +1,5 @@
-"""Per-cycle recycling against two dense multi-cycle references.
+"""Per-cycle recycling, and restarted FOM and GMRES, against two dense
+multi-cycle references.
 
 Within one solve, a cycle of ``rgmres`` or ``rfom`` that recycles the previous
 cycle's Ritz space searches ``span(U) + K_m(A, r)``: the space of GMRES-DR
@@ -7,7 +8,9 @@ thick-restarted with its Ritz vectors plus the residual direction (Morgan,
 Math. Comp. 1996; Wu & Simon, SIMAX 2000). The references below form that
 space densely and keep the ``k`` harmonic (GMRES-DR) or standard (FOM) Ritz
 vectors over it. They see only spans, so they pin the iterates whatever basis
-the library recycles.
+the library recycles. With ``k = 0`` the space is ``K_m(A, r)`` alone, so the
+same references are restarted GMRES and FOM: an anchor for ``restarted_solve``
+that shares no arithmetic with the library's cycle.
 """
 
 import numpy as np
@@ -15,14 +18,14 @@ import pytest
 import scipy.linalg
 
 from kryrec.augmented import Constraint
-from kryrec.baseline import SolverConfig
+from kryrec.baseline import SolverConfig, restarted_solve
 from kryrec.io import tridiagonal_matrix
 from kryrec.recycling import RecycleSpec, per_cycle_recycler
 from kryrec.unprojected import unproj_solve
 
 M, CYCLES = 20, 10
 # relative agreement of cycle-end residual norms; the largest gap over the
-# cases below is 1.8e-13
+# cases below is 1.8e-13 (1.2e-13 for restarted FOM and GMRES)
 NORM_RTOL = 1e-10
 
 
@@ -88,10 +91,16 @@ def dense_recycling(a, b, m, k, cycles, harmonic):
     return np.array(norms), kept, left_out
 
 
-def per_cycle_norms(a, b, method, k):
-    choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
-    recycler = per_cycle_recycler(RecycleSpec(k, refresh_policy="cycle"), choice)
-    res = unproj_solve(a, b, None, None, SolverConfig(M, 1e-8, max_cycles=CYCLES), method, recycler=recycler)
+def cycle_end_norms(a, b, method, k):
+    """Cycle-end norms of ``method``: ``rfom``/``rgmres`` recycling ``k`` Ritz
+    vectors every cycle, or plain restarted ``fom``/``gmres`` (``k = 0``)."""
+    cfg = SolverConfig(M, 1e-8, max_cycles=CYCLES)
+    if method in ("fom", "gmres"):
+        res = restarted_solve(a, b, None, cfg, method)
+    else:
+        choice = Constraint.GALERKIN if method == "rfom" else Constraint.MINRES
+        recycler = per_cycle_recycler(RecycleSpec(k, refresh_policy="cycle"), choice)
+        res = unproj_solve(a, b, None, None, cfg, method, recycler=recycler)
     assert res.stop_reason == "max_cycles"  # every cycle ran its M steps
     ends = {cycle: norm for cycle, _, norm in res.residual_history}  # a cycle's last row is its end
     return np.array([ends[c] for c in range(1, CYCLES + 1)])
@@ -105,16 +114,33 @@ OPERATORS = {
 }
 
 
+def system(operator):
+    a = OPERATORS[operator][0]()
+    rng = np.random.default_rng(0)
+    return a, rng.standard_normal(400) + (1j * rng.standard_normal(400) if operator == "complex" else 0.0)
+
+
+def assert_follows_reference(a, b, method, k):
+    """The reference's harmonic (GMRES) or standard (FOM) variant at ``k``;
+    returns its pair counts."""
+    want, kept, left_out = dense_recycling(a.to_dense(), b, M, k, CYCLES, harmonic=method.endswith("gmres"))
+    got = cycle_end_norms(a, b, method, k)
+    assert np.max(np.abs(got - want) / want) <= NORM_RTOL
+    return kept, left_out
+
+
 @pytest.mark.parametrize("operator", list(OPERATORS))
 @pytest.mark.parametrize("method", ["rgmres", "rfom"])
 def test_per_cycle_recycling_follows_the_thick_restart_reference(method, operator):
-    make, k = OPERATORS[operator]
-    a = make()
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(400) + (1j * rng.standard_normal(400) if operator == "complex" else 0.0)
+    a, b = system(operator)
     # GMRES-DR for rgmres, thick-restart FOM for rfom
-    want, kept, left_out = dense_recycling(a.to_dense(), b, M, k, CYCLES, harmonic=method == "rgmres")
-    got = per_cycle_norms(a, b, method, k)
-    assert np.max(np.abs(got - want) / want) <= NORM_RTOL
+    kept, left_out = assert_follows_reference(a, b, method, OPERATORS[operator][1])
     if operator == "pair_at_odd_k":
         assert kept > 0 and left_out > 0
+
+
+@pytest.mark.parametrize("operator", ["real", "complex"])
+@pytest.mark.parametrize("method", ["gmres", "fom"])
+def test_restarted_solve_follows_the_reference_without_recycling(method, operator):
+    a, b = system(operator)
+    assert assert_follows_reference(a, b, method, 0) == (0, 0)

@@ -13,11 +13,10 @@ from kryrec.augmented import (
     solve_block_coupled,
     z_correction,
 )
-from kryrec.baseline import SolverConfig, gmres_cycle, restarted_solve
+from kryrec.baseline import SolveResult, SolverConfig, gmres_cycle, restarted_solve
 from kryrec.core import DimensionError, SparseMatrix
 from kryrec.io import tridiagonal_matrix
 from kryrec.unprojected import (
-    AugmentedSolveResult,
     unproj_rfom_cycle,
     unproj_rgmres_cycle,
     unproj_solve,
@@ -374,7 +373,7 @@ class TestUnprojSolve:
         b = rng.standard_normal(n)
         cfg = SolverConfig(5, 1e-9, max_cycles=40)
         res = unproj_solve(a, b, None, u, cfg, "rfom")
-        assert isinstance(res, AugmentedSolveResult)
+        assert isinstance(res, SolveResult)
         assert res.k_used == k
         assert len(res.z_norms) == res.cycles_used
 
