@@ -6,6 +6,7 @@ Ritz-vector recycling across sequences of linear systems.
 """
 
 from .arnoldi import (
+    ArnoldiBreakdownError,
     ArnoldiDecomposition,
     OperatorHandle,
     arnoldi,
@@ -46,6 +47,7 @@ from .core import (
 )
 from .io import (
     ConvergenceRecord,
+    MatrixMarketError,
     ProblemFamily,
     generate_family,
     read_history,

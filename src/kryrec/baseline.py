@@ -16,6 +16,7 @@ import scipy.linalg
 from .arnoldi import arnoldi, as_operator
 from .augmented import AugmentationSpace, Constraint
 from .core import (
+    DimensionError,
     RankDeficientError,
     SingularMatrixError,
     check_finite,
@@ -90,10 +91,10 @@ class SolveResult:
     where a recurred norm met the tolerance and the true did not.
     ``history_matvecs[i]`` is the solve's matvec count when row ``i`` was
     written, matvecs spent between cycles included.
-    ``z_norms`` (each cycle's augmentation correction norm), ``k_used`` (the
-    largest space dimension) and ``final_decomposition`` (the source to recycle
-    from: the last cycle to run all ``cycle_length`` steps or break down) are set
-    by ``unproj_solve``; :func:`restarted_solve` keeps no basis past its cycle.
+    Every solve fills ``z_norms`` (each cycle's augmentation correction norm; 0.0
+    over the empty space) and ``k_used`` (the largest space dimension a cycle ran over).
+    ``final_decomposition``, the source to recycle from (the last cycle to run all
+    ``cycle_length`` steps or break down), is set only by ``unproj_solve``.
     """
 
     x: np.ndarray
@@ -244,6 +245,8 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
     (MINRES): Arnoldi on the plain operator under the residual monitor, stopped at the
     first norm meeting ``threshold``, then the monitor's reduced solution. Returns
     ``(y, z, dec, coupling)``."""
+    if aug.n != len(r0):
+        raise DimensionError(f"augmentation space of dimension {aug.n} for a residual of length {len(r0)}")
     if aug.k > 0 and aug.choice is not choice:
         raise ValueError(f"a {choice.value} cycle requires a {choice.value} augmentation space")
     monitor = _ResidualMonitor(r0, choice, threshold, aug)
@@ -276,36 +279,43 @@ def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float 
     return y, dec
 
 
-def _krylov_update(result, cycle, start, x, r, dec, y):
-    """Record the cycle's monitored norms below the size ``i = len(y)``, each
-    at the matvec count ``start`` (the count before the cycle) plus its step,
-    then update ``x += V_i y`` and ``r -= V_{i+1} Hbar_i y``.
+def _apply_cycle(result, cycle, x, r, y, z, dec, _coupling, count):
+    """Record the cycle's monitored norms below the size ``i = len(y)``, each at its
+    step's matvec count (``count``, read after the cycle's ``dec.j`` steps, less those
+    after it), its ``z`` norm and its space's dimension, then update
+    ``x += V_i y + U z`` and ``r -= V_{i+1} Hbar_i y + C z``.
 
     Returns ``(x, r, i)``.
     """
-    size = len(y)
+    size, aug = len(y), dec.space[0]
     rows = [(cycle, i, val) for i, val in dec.step_norms if i < size]
     result.residual_history.extend(rows)
-    result.history_matvecs.extend(start + i for _, i, _ in rows)
+    result.history_matvecs.extend(count - dec.j + i for _, i, _ in rows)
+    result.z_norms.append(float(np.linalg.norm(z)))
+    result.k_used = max(result.k_used, aug.k)
     x = x + dec.v[:, :size] @ y
     t = dec.hbar[: size + 1, :size] @ y
     r = r - dec.v[:, : len(t)] @ t
+    if aug.k:  # over the empty space the products add zeros and cost four n-vectors
+        x, r = x + aug.u @ z, r - aug.c @ z
     return x, r, size
 
 
-def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_count: int):
-    """The restart loop shared by every solver.
+def _run_cycles(op, b, x, cfg: SolverConfig, cycle_fn, start_count: int) -> SolveResult:
+    """The restart loop shared by every solver, and the one place that applies a cycle.
 
-    ``step(x, r, cycle, threshold)`` runs one cycle and returns ``(x, r, size)``
-    with the achieved cycle size; it may append inner rows to
-    ``result.residual_history`` with their counts to ``result.history_matvecs``.
-    A breakdown inside a step, a singular small system or a recycled space that
+    ``cycle_fn(r, threshold)`` runs one cycle from the residual ``r`` and returns
+    ``(y, z, dec, coupling)`` as :func:`_augmented_cycle` does. Its outputs go straight
+    into :func:`_apply_cycle` and are never bound here: a ``dec`` kept across cycles
+    would hold its basis while the next cycle builds one (a peak of 2.3 bases, not 1.3).
+    A breakdown inside a cycle, a singular small system or a recycled space that
     cannot be factored, ends the loop with ``stop_reason == "breakdown"``.
-    The residual is recurred by the steps and checked against ``b - A x`` every
+    The residual is recurred by the update and checked against ``b - A x`` every
     ``DRIFT_CHECK_EVERY`` cycles and where it meets the threshold; a true
     residual that fails it there goes on instead, unless it is no smaller than
     at the last such failure, which ends the loop as stagnation.
     """
+    result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0)
     r = b - op(x) if np.any(x) else b.copy()
     rnorm = float(np.linalg.norm(r))
     threshold = cfg.threshold(float(np.linalg.norm(b)))
@@ -320,7 +330,7 @@ def _run_cycles(op, b, x, cfg: SolverConfig, step, result: SolveResult, start_co
     failed_norm = np.inf  # true norm at the last confirmation that failed
     for cycle in range(1, cfg.max_cycles + 1):
         try:
-            x, r, size = step(x, r, cycle, threshold)
+            x, r, size = _apply_cycle(result, cycle, x, r, *cycle_fn(r, threshold), op.matvec_count - start_count)
         except (SolverBreakdownError, RankDeficientError, SingularMatrixError):
             result.stop_reason = "breakdown"
             break
@@ -378,13 +388,10 @@ def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:
     if method not in ("fom", "gmres"):
         raise ValueError(f"method must be 'fom' or 'gmres', got {method!r}")
     op, b, x = _check_inputs(a, b, x0)
-    start_count = op.matvec_count
-    cycle_fn = fom_cycle if method == "fom" else gmres_cycle
-    result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0)
+    choice = Constraint.GALERKIN if method == "fom" else Constraint.MINRES
+    aug = AugmentationSpace.empty(op.dimension, choice)
 
-    def step(x, r, cycle, threshold):
-        start = op.matvec_count - start_count
-        y, dec = cycle_fn(op, r, cfg.cycle_length, cfg.reorth, threshold)
-        return _krylov_update(result, cycle, start, x, r, dec, y)
+    def cycle(r, threshold):
+        return _augmented_cycle(op, aug, r, cfg.cycle_length, cfg.reorth, choice, threshold)
 
-    return _run_cycles(op, b, x, cfg, step, result, start_count)
+    return _run_cycles(op, b, x, cfg, cycle, op.matvec_count)

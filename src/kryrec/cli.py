@@ -170,7 +170,6 @@ def cli_main(argv=None) -> int:
             tol_mode=args.tol_mode,
         )
         rspec = RecycleSpec(k=args.recycle_dim, selection=args.ritz_select, refresh_policy=args.refresh)
-        family = _load_family(args)
         if args.command == "solve":
             methods = [args.method]
         else:
@@ -183,6 +182,17 @@ def cli_main(argv=None) -> int:
                 raise ValueError(f"duplicate methods: {', '.join(repeated)}")
             if not methods:
                 raise ValueError("--methods must name at least one method")
+        # a recycling flag that no method reads would change nothing
+        flags = [flag for flag, given in (
+            (f"-k {args.recycle_dim}", args.recycle_dim > 0),
+            ("--refresh cycle", args.refresh == "cycle"),
+            ("--ritz-select real", args.ritz_select == "real"),
+        ) if given]
+        if flags and not {"rfom", "rgmres"} & set(methods):
+            raise ValueError(f"{flags[0]} applies only to rfom and rgmres")
+        if flags and args.recycle_dim == 0:
+            raise ValueError(f"{flags[0]} needs a recycled space: give -k > 0")
+        family = _load_family(args)
     except (OSError, ValueError) as exc:
         print(f"kryrec: error: {exc}", file=sys.stderr)
         return 1

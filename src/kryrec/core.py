@@ -23,7 +23,6 @@ __all__ = [
     "spmv",
     "dense_solve",
     "dense_lstsq",
-    "check_finite",
 ]
 
 # |pivot| at or below PIVOT_RTOL * ||M||_F declares a factorization singular;

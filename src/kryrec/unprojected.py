@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .augmented import AugmentationSpace, Constraint, build_augmentation
-from .baseline import SolveResult, SolverConfig, _augmented_cycle, _check_inputs, _krylov_update, _run_cycles
+from .baseline import SolveResult, SolverConfig, _augmented_cycle, _check_inputs, _run_cycles
 
 __all__ = ["unproj_rfom_cycle", "unproj_rgmres_cycle", "unproj_solve"]
 
@@ -68,23 +68,19 @@ def unproj_solve(
         aug = build_augmentation(op, u0, choice)
 
     cycle_fn = unproj_rfom_cycle if choice is Constraint.GALERKIN else unproj_rgmres_cycle
-    result = SolveResult(x=x, residual_history=[], matvec_count=0, converged=False, cycles_used=0, k_used=aug.k)
+    last = None  # the last full cycle's decomposition: the recycling source
 
-    def step(x, r, cycle, threshold):
-        nonlocal aug
-        # the recycler sees the last full cycle's decomposition, so it runs
+    def cycle(r, threshold):
+        nonlocal aug, last
+        # the recycler reads the last full cycle's decomposition, so it runs
         # only between cycles, never after the last one
-        if recycler is not None and cycle > 1:
-            new_aug = recycler(op, aug, result.final_decomposition)
-            if new_aug is not None:
-                aug = new_aug
-                result.k_used = max(result.k_used, aug.k)
-        start = op.matvec_count - start_count
-        y, z, dec, _ = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth, threshold)
-        if result.final_decomposition is None or dec.breakdown or dec.j == cfg.cycle_length:
-            result.final_decomposition = dec
-        result.z_norms.append(float(np.linalg.norm(z)))
-        x, r, size = _krylov_update(result, cycle, start, x, r, dec, y)
-        return x + aug.u @ z, r - aug.c @ z, size
+        if recycler is not None and last is not None:
+            aug = recycler(op, aug, last) or aug
+        y, z, dec, coupling = cycle_fn(op, aug, r, cfg.cycle_length, cfg.reorth, threshold)
+        if last is None or dec.breakdown or dec.j == cfg.cycle_length:
+            last = dec
+        return y, z, dec, coupling
 
-    return _run_cycles(op, b, x, cfg, step, result, start_count)
+    result = _run_cycles(op, b, x, cfg, cycle, start_count)
+    result.final_decomposition = last
+    return result

@@ -97,6 +97,22 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
         assert not list(tmp_path.glob("h_*"))
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "fom", "-k", "5"], "-k 5 applies only to rfom and rgmres"),
+            (["--method", "gmres", "--ritz-select", "real"], "--ritz-select real applies only to rfom and rgmres"),
+            (["--method", "rgmres", "-k", "0", "--refresh", "cycle"], "--refresh cycle needs a recycled space"),
+            (["--method", "rfom", "--ritz-select", "real"], "--ritz-select real needs a recycled space"),
+        ],
+        ids=["k_with_fom", "ritz_select_with_gmres", "refresh_cycle_at_k0", "ritz_select_at_k0"],
+    )
+    def test_a_recycling_flag_that_changes_nothing_exits_1(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert run(["solve", "--family", "tridiag:n=50", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rhs_ones(self, identity_mtx, tmp_path):
         out = tmp_path / "h.csv"
         code = run(
@@ -244,6 +260,16 @@ class TestCompare:
         )
         assert code == 1
         assert "duplicate methods: gmres, rfom" in capsys.readouterr().err
+        assert not list(tmp_path.glob("h_*"))
+
+    def test_a_recycling_flag_no_listed_method_reads_exits_1(self, tmp_path, capsys):
+        prefix = tmp_path / "h_"
+        code = run(
+            ["compare", "--family", "tridiag:n=16,count=2", "--methods", "gmres", "-k", "3",
+             "--refresh", "cycle", "--out", str(prefix)]
+        )
+        assert code == 1
+        assert "-k 3 applies only to rfom and rgmres" in capsys.readouterr().err
         assert not list(tmp_path.glob("h_*"))
 
     def test_a_recycled_space_that_cannot_be_factored_exits_2(self, tmp_path, capsys):

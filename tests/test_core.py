@@ -1,6 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import kryrec
 from kryrec.core import (
     PIVOT_RTOL,
     DimensionError,
@@ -200,3 +203,10 @@ class TestDenseLstsq:
     def test_zero_matrix_is_rank_deficient(self):
         with pytest.raises(RankDeficientError):
             dense_lstsq(np.zeros((3, 2)), np.ones(3))
+
+
+@pytest.mark.parametrize("module", ["arnoldi", "augmented", "baseline", "core", "io", "recycling", "unprojected"])
+def test_every_listed_name_is_defined_and_exported_by_the_package(module):
+    mod = importlib.import_module(f"kryrec.{module}")
+    assert [name for name in mod.__all__ if name not in vars(mod)] == []
+    assert [name for name in mod.__all__ if getattr(kryrec, name, None) is not vars(mod)[name]] == []

@@ -416,6 +416,32 @@ class TestUnprojSolve:
         with pytest.raises(DimensionError):
             unproj_solve(a, np.ones(10), None, np.ones(10), SolverConfig(2, 1e-8), "rfom")
 
+    def test_a_space_of_another_dimension_is_a_dimension_error(self):
+        a, b = tridiagonal_matrix(50), np.ones(50)
+        aug = build_augmentation(tridiagonal_matrix(40), np.eye(40)[:, :3], Constraint.MINRES)
+        with pytest.raises(DimensionError, match="dimension 40 for a residual of length 50"):
+            unproj_solve(a, b, None, aug, SolverConfig(5, 1e-8), "rgmres")
+        with pytest.raises(DimensionError):
+            unproj_rgmres_cycle(a, aug, b, 5)
+
+    def test_inner_rows_count_the_matvecs_a_recycler_spends(self):
+        # a recycler that applies the operator twice between cycles moves every
+        # later row, inner rows included, by two matvecs a cycle
+        a, b = tridiagonal_matrix(40), np.random.default_rng(2).standard_normal(40)
+        cfg = SolverConfig(6, 1e-12, max_cycles=5)
+
+        def spending(op, aug, dec):
+            op(op(b))  # keeps the space
+
+        for method in ("rfom", "rgmres"):
+            quiet = unproj_solve(a, b, None, None, cfg, method)
+            spent = unproj_solve(a, b, None, None, cfg, method, recycler=spending)
+            assert [row[:2] for row in spent.residual_history] == [row[:2] for row in quiet.residual_history]
+            assert any(i < 6 and c > 1 for c, i, _ in quiet.residual_history)
+            assert spent.history_matvecs == [
+                mv + 2 * max(c - 1, 0) for (c, _, _), mv in zip(quiet.residual_history, quiet.history_matvecs)
+            ]
+
     def test_exact_smallest_eigenvectors_accelerate_fom(self):
         # second-difference operator has analytic eigenpairs:
         # vectors sin(pi k (i+1) / (n+1)), values 2 - 2 cos(pi k / (n+1))
@@ -434,6 +460,33 @@ class TestUnprojSolve:
         seeded = unproj_solve(a, b, None, u, cfg, "rfom")
         assert plain.converged and seeded.converged
         assert seeded.cycles_used < plain.cycles_used
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("method", ["fom", "gmres"])
+def test_restarted_solve_is_unproj_solve_over_the_empty_space(method, dtype):
+    """Both run the one cycle over the empty space through the one restart loop:
+    every result field agrees bit for bit, and only unproj_solve keeps a source."""
+    rng = np.random.default_rng(11)
+    n = 40
+    a = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n)) / np.sqrt(4 * n)
+        b, x0 = b + 1j * rng.standard_normal(n), x0 + 1j * rng.standard_normal(n)
+    a = SparseMatrix.from_dense(a)
+    cfg = SolverConfig(7, 1e-10, max_cycles=30)
+    plain = restarted_solve(a, b, x0, cfg, method)
+    empty = unproj_solve(a, b, x0, None, cfg, "r" + method)
+    assert plain.cycles_used > 1 and plain.converged
+    assert plain.x.tobytes() == empty.x.tobytes()
+    for field in ("residual_history", "history_matvecs", "z_norms"):
+        assert np.array(getattr(plain, field)).tobytes() == np.array(getattr(empty, field)).tobytes()
+    assert plain.z_norms == [0.0] * plain.cycles_used
+    for field in ("matvec_count", "cycles_used", "stop_reason", "k_used", "max_drift_gap"):
+        assert repr(getattr(plain, field)) == repr(getattr(empty, field))
+    assert plain.k_used == 0
+    assert plain.final_decomposition is None and empty.final_decomposition is not None
 
 
 @pytest.mark.parametrize("method", ["rfom", "rgmres"])
