@@ -28,14 +28,7 @@ from .augmented import (
     solve_block_coupled,
     z_correction,
 )
-from .baseline import (
-    SolveResult,
-    SolverBreakdownError,
-    SolverConfig,
-    fom_cycle,
-    gmres_cycle,
-    restarted_solve,
-)
+from .baseline import SolveResult, SolverBreakdownError, SolverConfig, restarted_solve
 from .core import (
     DimensionError,
     RankDeficientError,

@@ -58,7 +58,7 @@ class OperatorHandle:
             if a.n_rows != a.n_cols:
                 raise DimensionError("operator must be square")
             return cls(a.n_rows, lambda v: spmv(a, v))
-        a = np.asarray(a)
+        a = check_finite("operator", np.asarray(a))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"operator must be square, got {a.shape}")
         return cls(a.shape[0], lambda v: a @ v)

@@ -25,14 +25,7 @@ from .core import (
     warn_caller,
 )
 
-__all__ = [
-    "SolverConfig",
-    "SolveResult",
-    "SolverBreakdownError",
-    "fom_cycle",
-    "gmres_cycle",
-    "restarted_solve",
-]
+__all__ = ["SolverConfig", "SolveResult", "SolverBreakdownError", "restarted_solve"]
 
 # A full cycle leaving the residual norm unchanged at this relative level
 # counts as stagnation; restarting from the same residual cannot make
@@ -255,30 +248,6 @@ def _augmented_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth, 
     return y, z, dec, coupling
 
 
-def fom_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
-    """One FOM cycle: the rfom cycle over the empty space.
-
-    Returns ``(y, dec)`` where ``y`` solves ``H_i y = ||r|| e_1`` at the
-    largest leading size ``i <= dec.j`` whose Hessenberg is nonsingular, so
-    ``len(y)`` may fall short of ``dec.j``. Raises :class:`SolverBreakdownError`
-    when no size is nonsingular. Stops at the first residual norm ``<= threshold``.
-    """
-    choice = Constraint.GALERKIN
-    y, _, dec, _ = _augmented_cycle(a, AugmentationSpace.empty(len(r), choice), r, m, reorth, choice, threshold)
-    return y, dec
-
-
-def gmres_cycle(a, r: np.ndarray, m: int, reorth: bool = True, threshold: float = 0.0):
-    """One GMRES cycle: the rgmres cycle over the empty space.
-
-    Returns ``(y, dec)`` with ``y = argmin_z || ||r|| e_1 - Hbar z ||``; stops
-    at the first residual norm ``<= threshold``.
-    """
-    choice = Constraint.MINRES
-    y, _, dec, _ = _augmented_cycle(a, AugmentationSpace.empty(len(r), choice), r, m, reorth, choice, threshold)
-    return y, dec
-
-
 def _apply_cycle(result, cycle, x, r, y, z, dec, _coupling, count):
     """Record the cycle's monitored norms below the size ``i = len(y)``, each at its
     step's matvec count (``count``, read after the cycle's ``dec.j`` steps, less those
@@ -370,10 +339,13 @@ def _check_inputs(a, b, x0):
     op = as_operator(a)
     b = check_finite("b", np.asarray(b))
     if b.shape != (op.dimension,):
-        raise ValueError(f"rhs shape {b.shape} does not match dimension {op.dimension}")
+        raise DimensionError(f"rhs shape {b.shape} does not match dimension {op.dimension}")
     if x0 is None:
         return op, b, np.zeros_like(b)
-    return op, b, check_finite("x0", np.asarray(x0)).copy()
+    x0 = check_finite("x0", np.asarray(x0))
+    if x0.shape != b.shape:
+        raise DimensionError(f"x0 shape {x0.shape} does not match dimension {op.dimension}")
+    return op, b, x0.copy()
 
 
 def restarted_solve(a, b, x0, cfg: SolverConfig, method: str) -> SolveResult:

@@ -26,7 +26,11 @@ __all__ = ["unproj_rfom_cycle", "unproj_rgmres_cycle", "unproj_solve"]
 
 def unproj_rfom_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reorth=True, threshold=0.0):
     """One augmented FOM cycle on the plain-operator Krylov space (Galerkin
-    constraint), stopped at a residual norm <= ``threshold``. Returns ``(y, z, dec, coupling)``."""
+    constraint), stopped at a residual norm <= ``threshold``. Returns ``(y, z, dec, coupling)``.
+    ``y`` solves the reduced system at the largest leading size ``i <= dec.j`` that is
+    nonsingular, so ``len(y)`` may fall short of ``dec.j``; raises
+    :class:`~kryrec.baseline.SolverBreakdownError` when none is. Plain FOM is this cycle
+    over ``AugmentationSpace.empty(n)``."""
     return _augmented_cycle(a, aug, r0, m, reorth, Constraint.GALERKIN, threshold)
 
 
@@ -34,7 +38,8 @@ def unproj_rgmres_cycle(a, aug: AugmentationSpace, r0: np.ndarray, m: int, reort
     """One augmented GMRES cycle on the plain-operator Krylov space (minimum
     residual over the Krylov plus augmentation space), stopped at a residual norm
     <= ``threshold``; requires a minimum-residual space, whose image columns are
-    orthonormal. Returns ``(y, z, dec, coupling)``."""
+    orthonormal. Returns ``(y, z, dec, coupling)``. Plain GMRES is this cycle over
+    ``AugmentationSpace.empty(n, Constraint.MINRES)``."""
     return _augmented_cycle(a, aug, r0, m, reorth, Constraint.MINRES, threshold)
 
 
@@ -49,8 +54,8 @@ def unproj_solve(
 ) -> SolveResult:
     """Restarted unprojected augmented solve.
 
-    ``u0`` seeds the augmentation space (``None`` or a 2-D array of zero
-    columns degenerates to the plain restarted method). After each cycle the
+    ``u0`` seeds the augmentation space (``None`` or an ``n x 0`` array
+    degenerates to the plain restarted method). After each cycle the
     iterate gains the cycle's Krylov and augmentation corrections and the
     residual loses both of their images. An optional ``recycler(op, aug, dec)``
     callback may replace the augmentation space between cycles; it returns the
@@ -62,7 +67,7 @@ def unproj_solve(
 
     if isinstance(u0, AugmentationSpace):
         aug = u0
-    elif u0 is None or np.ndim(u0) == 2 and np.shape(u0)[1] == 0:
+    elif u0 is None or np.shape(u0) == (op.dimension, 0):
         aug = AugmentationSpace.empty(op.dimension, choice)
     else:
         aug = build_augmentation(op, u0, choice)

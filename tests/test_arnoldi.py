@@ -1,4 +1,6 @@
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from kryrec.arnoldi import (
     arnoldi_relation_residual,
     as_operator,
 )
-from kryrec.augmented import Constraint, build_augmentation
-from kryrec.baseline import fom_cycle, gmres_cycle
+from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation
+from kryrec.baseline import SolverConfig, restarted_solve
 from kryrec.core import DimensionError, SparseMatrix
-from kryrec.unprojected import unproj_rgmres_cycle
+from kryrec.io import tridiagonal_matrix
+from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
 from test_acceptance import sparse_random
 
 
@@ -197,9 +200,9 @@ def poison_case(case, complex_, n=60, m=20):
         return lambda: arnoldi(a, r, m, reorth=case == "full")
     threshold = 1e-6 * np.linalg.norm(r)
     if case == "fom-stopped":
-        return lambda: fom_cycle(a, r, m, threshold=threshold)
+        return lambda: unproj_rfom_cycle(a, AugmentationSpace.empty(n), r, m, threshold=threshold)
     if case == "gmres-stopped":
-        return lambda: gmres_cycle(a, r, m, threshold=threshold)
+        return lambda: unproj_rgmres_cycle(a, AugmentationSpace.empty(n, Constraint.MINRES), r, m, threshold=threshold)
     # a monitor with a space reads the basis rows to grow D = V* C
     u = rng.standard_normal((n, 3)) + c * rng.standard_normal((n, 3))
     aug = build_augmentation(a, u, Constraint.MINRES)
@@ -332,3 +335,46 @@ class TestOperatorHandle:
         op = as_operator(random_sparse(rng, 20))
         x, y = rng.standard_normal(20), rng.standard_normal(20)
         assert np.allclose(op(x + 2.0 * y), op(x) + 2.0 * op(y))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: as_operator(SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0])), DimensionError, "must be square"),
+        (lambda: as_operator(np.ones(3)), DimensionError, "must be square, got (3,)"),
+        (lambda: as_operator(np.ones((2, 3))), DimensionError, "must be square, got (2, 3)"),
+        (
+            lambda: arnoldi_relation_residual(arnoldi(np.eye(3), np.ones(3), 2), np.eye(4)),
+            DimensionError,
+            "decomposition dimension does not match operator",
+        ),
+    ],
+    ids=["sparse-not-square", "array-not-2d", "array-not-square", "relation-of-another-dimension"],
+)
+def test_typed_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda a, b: restarted_solve(a, b, None, SolverConfig(10, 1e-8, max_cycles=50), "gmres"),
+        lambda a, b: unproj_solve(a, b, None, None, SolverConfig(10, 1e-8, max_cycles=50), "rgmres"),
+    ],
+    ids=["restarted_solve", "unproj_solve"],
+)
+def test_dense_operator_with_a_non_finite_entry_is_refused(monkeypatch, solve, entry):
+    # a SparseMatrix refuses such entries on construction; a dense operator is
+    # refused when it becomes a handle, before a matvec can spread the entry
+    dense = tridiagonal_matrix(30).to_dense()
+    dense[2, 2] = entry
+    matvecs = []
+    apply = OperatorHandle.__call__
+    monkeypatch.setattr(OperatorHandle, "__call__", lambda self, v: matvecs.append(1) or apply(self, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="operator contains non-finite entries"):
+            solve(dense, np.ones(30))
+    assert matvecs == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -433,3 +435,47 @@ class TestEquivalenceOracles:
         y1 = krylov_correction_projected(aug, av, vt, r0)
         y2 = krylov_correction_shifted(aug, av, vt, r0)
         assert np.linalg.norm(y1 - y2) <= 1e-10 * np.linalg.norm(y1)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda a, aug: build_augmentation(a, np.zeros((6, 0)), Constraint.GALERKIN), ValueError, "at least one column"),
+        (lambda a, aug: apply_complement_projector(aug, np.ones(5)), DimensionError, "operand length 5 != 6"),
+        (lambda a, aug: apply_complement_projector_adjoint(aug, np.ones(5)), DimensionError, "operand length 5 != 6"),
+        (lambda a, aug: projected_residual(aug, np.ones(5)), DimensionError, "residual length 5 != 6"),
+        (
+            lambda a, aug: assemble_block_system(aug, np.ones((5, 3)), np.ones((6, 3)), np.ones(6)),
+            DimensionError,
+            "inconsistent dimensions",
+        ),
+        (
+            lambda a, aug: assemble_block_system(aug, np.ones((6, 3)), np.ones((6, 2)), np.ones(6)),
+            DimensionError,
+            "equal column counts",
+        ),
+        (lambda a, aug: solve_block_coupled(np.eye(4), np.ones(4), 2, 3), DimensionError, "expected a (5) x (5) system"),
+        (lambda a, aug: compute_coupling(aug, np.ones((5, 4)), np.ones((4, 3))), DimensionError, "basis length 5 != 6"),
+        (
+            lambda a, aug: z_correction(aug, np.ones(3), np.ones(6), np.ones((2, 4))),
+            DimensionError,
+            "coupling matrix and y disagree on j",
+        ),
+    ],
+    ids=[
+        "build_augmentation-no-columns",
+        "apply_complement_projector",
+        "apply_complement_projector_adjoint",
+        "projected_residual",
+        "assemble_block_system-rows",
+        "assemble_block_system-columns",
+        "solve_block_coupled",
+        "compute_coupling-basis-length",
+        "z_correction",
+    ],
+)
+def test_typed_input_errors(call, error, fragment):
+    a = well_conditioned(np.random.default_rng(0), 6)
+    aug = build_augmentation(a, np.eye(6)[:, :2], Constraint.GALERKIN)
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(a, aug)

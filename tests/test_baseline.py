@@ -1,19 +1,15 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kryrec.arnoldi import OperatorHandle, as_operator
-from kryrec.baseline import (
-    SolveResult,
-    SolverConfig,
-    fom_cycle,
-    gmres_cycle,
-    restarted_solve,
-)
-from kryrec.core import SparseMatrix
+from kryrec.augmented import AugmentationSpace, Constraint
+from kryrec.baseline import SolveResult, SolverConfig, restarted_solve
+from kryrec.core import DimensionError, SparseMatrix
 from kryrec.io import tridiagonal_matrix
-from kryrec.unprojected import unproj_solve
+from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
 
 
 def random_spd(rng, n):
@@ -41,7 +37,7 @@ class TestFomCycle:
     def test_identity_exact_in_one_step(self):
         a = SparseMatrix.identity(5)
         r = np.array([3.0, 0.0, 4.0, 0.0, 0.0])
-        y, dec = fom_cycle(a, r, 5)
+        y, _, dec, _ = unproj_rfom_cycle(a, AugmentationSpace.empty(len(r)), r, 5)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(5.0)  # ||r||
         new_r = r - dec.v @ (dec.hbar[: dec.v.shape[1]] @ y)
@@ -50,7 +46,7 @@ class TestFomCycle:
     def test_grade_two_exact(self):
         a = SparseMatrix.diagonal([1.0, 2.0])
         r = np.array([1.0, 1.0]) / np.sqrt(2)
-        y, dec = fom_cycle(a, r, 2)
+        y, _, dec, _ = unproj_rfom_cycle(a, AugmentationSpace.empty(len(r)), r, 2)
         new_r = r - dec.v @ (dec.hbar[: dec.v.shape[1]] @ y)
         assert np.linalg.norm(new_r) < 1e-14
 
@@ -60,7 +56,7 @@ class TestFomCycle:
         n, m = 50, 10
         a = random_spd(rng, n)
         r = rng.standard_normal(n)
-        y, dec = fom_cycle(a, r, m)
+        y, _, dec, _ = unproj_rfom_cycle(a, AugmentationSpace.empty(len(r)), r, m)
         ad = a.to_dense()
         v = dec.basis
         y_oracle = np.linalg.solve(v.conj().T @ ad @ v, v.conj().T @ r)
@@ -72,7 +68,7 @@ class TestFomCycle:
         n, m = 50, 10
         a = random_spd(rng, n)
         r = rng.standard_normal(n)
-        y, dec = fom_cycle(a, r, m)
+        y, _, dec, _ = unproj_rfom_cycle(a, AugmentationSpace.empty(len(r)), r, m)
         new_r = r - dec.v @ (dec.hbar[: dec.v.shape[1]] @ y)
         assert np.linalg.norm(dec.basis.conj().T @ new_r) <= 1e-10 * np.linalg.norm(r)
 
@@ -81,13 +77,13 @@ class TestGmresCycle:
     def test_identity_exact(self):
         a = SparseMatrix.identity(4)
         r = np.array([1.0, 2.0, 2.0, 0.0])
-        y, dec = gmres_cycle(a, r, 4)
+        y, _, dec, _ = unproj_rgmres_cycle(a, AugmentationSpace.empty(len(r), Constraint.MINRES), r, 4)
         assert y[0] == pytest.approx(3.0)
 
     def test_one_dimensional_minimization(self):
         a = SparseMatrix.diagonal([1.0, 2.0])
         r = np.array([1.0, 1.0]) / np.sqrt(2)
-        y, dec = gmres_cycle(a, r, 1)
+        y, _, dec, _ = unproj_rgmres_cycle(a, AugmentationSpace.empty(len(r), Constraint.MINRES), r, 1)
         # closed form: argmin ||r - t*A r|| = <Ar, r> / <Ar, Ar>
         ar = np.array([1.0, 2.0]) / np.sqrt(2)
         t_star = np.dot(ar, r) / np.dot(ar, ar)
@@ -101,7 +97,7 @@ class TestGmresCycle:
         n, m = 50, 10
         a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 4 * np.eye(n))
         r = rng.standard_normal(n)
-        y, dec = gmres_cycle(a, r, m)
+        y, _, dec, _ = unproj_rgmres_cycle(a, AugmentationSpace.empty(len(r), Constraint.MINRES), r, m)
         new_norm = np.linalg.norm(r - dec.v @ (dec.hbar @ y))
         # explicit Krylov columns, dense least squares
         ad = a.to_dense()
@@ -119,7 +115,7 @@ class TestGmresCycle:
         n, m = 50, 10
         a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 4 * np.eye(n))
         r = rng.standard_normal(n)
-        y, dec = gmres_cycle(a, r, m)
+        y, _, dec, _ = unproj_rgmres_cycle(a, AugmentationSpace.empty(len(r), Constraint.MINRES), r, m)
         new_r = r - dec.v @ (dec.hbar @ y)
         av = a.to_dense() @ dec.basis
         bound = 1e-10 * a.frobenius_norm() * np.linalg.norm(r)
@@ -130,7 +126,7 @@ class TestGmresCycle:
         n, m = 40, 8
         a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + 4 * np.eye(n))
         r = rng.standard_normal(n)
-        y, dec = gmres_cycle(a, r, m)
+        y, _, dec, _ = unproj_rgmres_cycle(a, AugmentationSpace.empty(len(r), Constraint.MINRES), r, m)
         rhs = np.zeros(dec.j + 1)
         rhs[0] = np.linalg.norm(r)
         objective = np.linalg.norm(rhs - dec.hbar @ y)
@@ -364,3 +360,59 @@ def test_no_basis_outlives_its_cycle(method):
         tracemalloc.stop()
     assert res.cycles_used == 4 and res.final_decomposition is None
     assert peak < 1.8 * (m + 1) * n * 8
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (
+            lambda op, cfg: restarted_solve(op, np.ones(30), np.zeros((30, 1)), cfg, "gmres"),
+            DimensionError,
+            "x0 shape (30, 1) does not match dimension 30",
+        ),
+        (
+            lambda op, cfg: restarted_solve(op, np.ones(30), np.zeros(31), cfg, "gmres"),
+            DimensionError,
+            "x0 shape (31,) does not match dimension 30",
+        ),
+        (
+            lambda op, cfg: restarted_solve(op, np.ones(31), None, cfg, "gmres"),
+            DimensionError,
+            "rhs shape (31,) does not match dimension 30",
+        ),
+        (
+            lambda op, cfg: restarted_solve(op, np.ones(30), None, cfg, "rfom"),
+            ValueError,
+            "method must be 'fom' or 'gmres', got 'rfom'",
+        ),
+        (
+            lambda op, cfg: unproj_solve(op, np.ones(30), np.zeros((30, 1)), None, cfg, "rgmres"),
+            DimensionError,
+            "x0 shape (30, 1) does not match dimension 30",
+        ),
+        (
+            lambda op, cfg: unproj_solve(op, np.ones(30), np.zeros(31), None, cfg, "rgmres"),
+            DimensionError,
+            "x0 shape (31,) does not match dimension 30",
+        ),
+        (
+            lambda op, cfg: unproj_solve(op, np.ones(30), None, np.zeros((7, 0)), cfg, "rgmres"),
+            DimensionError,
+            "augmentation basis shape (7, 0) does not match n",
+        ),
+    ],
+    ids=[
+        "restarted-x0-column",
+        "restarted-x0-long",
+        "restarted-rhs-long",
+        "restarted-unknown-method",
+        "unproj-x0-column",
+        "unproj-x0-long",
+        "unproj-empty-basis-of-7-rows",
+    ],
+)
+def test_an_input_of_another_shape_is_refused_before_any_matvec(call, error, fragment):
+    op = as_operator(tridiagonal_matrix(30))
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(op, SolverConfig(10, 1e-8, max_cycles=50))
+    assert op.matvec_count == 0

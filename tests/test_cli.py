@@ -348,3 +348,19 @@ class TestCompare:
             assert recs[-1].matvecs == total == op.matvec_count
         # inner rows after the first rebuild are the ones the count must cover
         assert late_inner_rows["rgmres"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["solve", "--family", "tridiag:n", "--method", "gmres"], "bad family parameter 'n'"),
+        (["solve", "--family", "tridiag:n=10", "--method", "gmres", "--rhs", "zeros"], "bad --rhs spec 'zeros'"),
+        (["compare", "--family", "tridiag:n=10", "--methods", "gmres,cg"], "unknown methods: cg"),
+        (["compare", "--family", "tridiag:n=10", "--methods", ","], "--methods must name at least one method"),
+    ],
+    ids=["family-parameter-without-value", "rhs-spec", "unknown-method", "no-method"],
+)
+def test_a_bad_argument_exits_1_naming_it(argv, fragment, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path / "h_")]) == 1
+    assert capsys.readouterr().err == f"kryrec: error: {fragment}\n"
+    assert not list(tmp_path.glob("h_*"))

@@ -1,4 +1,7 @@
+import collections
 import importlib
+import re
+import types
 
 import numpy as np
 import pytest
@@ -205,8 +208,48 @@ class TestDenseLstsq:
             dense_lstsq(np.zeros((3, 2)), np.ones(3))
 
 
-@pytest.mark.parametrize("module", ["arnoldi", "augmented", "baseline", "core", "io", "recycling", "unprojected"])
+LIBRARY_MODULES = ["arnoldi", "augmented", "baseline", "core", "io", "recycling", "unprojected"]
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
 def test_every_listed_name_is_defined_and_exported_by_the_package(module):
     mod = importlib.import_module(f"kryrec.{module}")
     assert [name for name in mod.__all__ if name not in vars(mod)] == []
     assert [name for name in mod.__all__ if getattr(kryrec, name, None) is not vars(mod)[name]] == []
+
+
+def test_every_package_name_is_listed_by_exactly_one_module():
+    listed = collections.Counter(
+        name for module in LIBRARY_MODULES for name in importlib.import_module(f"kryrec.{module}").__all__
+    )
+    public = [
+        name for name, value in vars(kryrec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert [name for name in public if listed[name] != 1] == []
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: SparseMatrix(2, 2, [0, 1], [0], [1.0]), "row_offsets must have length n_rows+1=3, got 2"),
+        (lambda: SparseMatrix(2, 2, [0, 1, 2], [0], [1.0, 1.0]), "col_indices/values length must match"),
+        (lambda: SparseMatrix(2, 2, [0, 1, 2], [0, 1], [1.0]), "col_indices/values length must match"),
+        (lambda: dense_solve(np.ones((2, 3)), np.ones(2)), "expected square matrix, got (2, 3)"),
+        (lambda: dense_solve(np.eye(2), np.ones(3)), "rhs length 3 != 2"),
+        (lambda: dense_lstsq(np.ones((2, 3)), np.ones(2)), "expected tall matrix, got (2, 3)"),
+        (lambda: dense_lstsq(np.ones((3, 2)), np.ones(2)), "rhs length 2 != 3"),
+    ],
+    ids=[
+        "row_offsets-length",
+        "col_indices-length",
+        "values-length",
+        "dense_solve-not-square",
+        "dense_solve-rhs-length",
+        "dense_lstsq-wide",
+        "dense_lstsq-rhs-length",
+    ],
+)
+def test_typed_input_errors(call, fragment):
+    with pytest.raises(DimensionError, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -350,3 +351,50 @@ class TestHistory:
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError):
             ConvergenceRecord("x", "y", 0, 0, -1.0)
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda tmp: ProblemFamily([]), ValueError, "needs at least one system"),
+        (lambda tmp: read_matrix_market(write_text(tmp / "m.mtx", "")), MatrixMarketError, "empty file (line 1)"),
+        (
+            lambda tmp: read_matrix_market(write_text(tmp / "m.mtx", "%%MatrixMarket vector coordinate real general\n")),
+            MatrixMarketError,
+            "unsupported object 'vector' (line 1)",
+        ),
+        (
+            lambda tmp: read_matrix_market(write_text(tmp / "m.mtx", "%%MatrixMarket matrix coordinate real general\n% c\n")),
+            MatrixMarketError,
+            "missing size line (line 2)",
+        ),
+        (
+            lambda tmp: generate_family("tridiag", 5, 1, {"base": tridiagonal_matrix(4)}),
+            ValueError,
+            "base operator size does not match n",
+        ),
+        (lambda tmp: write_history([], tmp / "h.xml", format="xml"), ValueError, "unknown history format 'xml'"),
+        (
+            lambda tmp: read_history(write_text(tmp / "h.csv", "solver,cycle\n")),
+            ValueError,
+            "unexpected history columns: ['solver', 'cycle']",
+        ),
+    ],
+    ids=[
+        "empty-family",
+        "mm-empty-file",
+        "mm-not-a-matrix",
+        "mm-no-size-line",
+        "family-base-of-another-size",
+        "history-unknown-format",
+        "history-other-columns",
+    ],
+)
+def test_typed_input_errors(tmp_path, call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kryrec.arnoldi import arnoldi
 from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation, compute_coupling
-from kryrec.baseline import SolverConfig, _ResidualMonitor, fom_cycle, gmres_cycle
+from kryrec.baseline import SolverConfig, _ResidualMonitor
 from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
 
 # Bounds relative to ||r0||. Over 4,000 seeded draws of ``cycle_instance``
@@ -25,6 +25,10 @@ MINRES_RTOL = 1e-12
 # than its rounding. Over 420 draws at n = 300, m = 20 and seven eps from 1e-5
 # to 0 the largest gap was 1.4e-12.
 NEAR_KRYLOV_RTOL = 1e-10
+# A k = 0 cycle's y against the dense FOM and GMRES solves, relative to their
+# norm. Over 2,000 seeded k = 0 draws of ``cycle_instance`` the largest gaps were
+# 1.2e-15 (Galerkin) and 7.7e-15 (least squares).
+REFERENCE_RTOL = 1e-10
 # The cycle's D, E, P and coupling against the dense products, relative to
 # the size of what they are formed from; over 3,000 seeded draws of the test
 # below the largest gap was 8.6e-16.
@@ -66,9 +70,15 @@ def cycle_instance(method, k, m, extra, complex_, seed):
 def test_augmented_cycle(method, k, m, extra, complex_, seed):
     a, aug, r0, (y, z, dec, coupling) = cycle_instance(method, k, m, extra, complex_, seed)
     if k == 0:
-        y_ref, dec_ref = (fom_cycle if method == "rfom" else gmres_cycle)(a, r0, m)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(dec.hbar, dec_ref.hbar)
+        # plain FOM's explicit Galerkin solve and plain GMRES's dense least squares at
+        # len(y), over the basis a plain Arnoldi run builds
+        assert np.array_equal(dec.hbar, arnoldi(a, r0, m).hbar)
+        v = dec.v[:, : len(y)]
+        if method == "rfom":
+            y_ref = np.linalg.solve(v.conj().T @ a @ v, v.conj().T @ r0)
+        else:
+            y_ref = np.linalg.lstsq(a @ v, r0, rcond=None)[0]
+        assert np.linalg.norm(y - y_ref) <= REFERENCE_RTOL * np.linalg.norm(y_ref)
     assert coupling.shape == (k, len(y))
 
     scale = np.linalg.norm(r0)
