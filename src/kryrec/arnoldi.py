@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse
 
 from .core import DimensionError, SparseMatrix, check_finite, spmv
 
@@ -54,18 +55,27 @@ class OperatorHandle:
 
     @classmethod
     def from_matrix(cls, a) -> "OperatorHandle":
+        if scipy.sparse.issparse(a):
+            csr = a.tocsr()
+            a = SparseMatrix(*csr.shape, csr.indptr, csr.indices, csr.data)
         if isinstance(a, SparseMatrix):
-            if a.n_rows != a.n_cols:
-                raise DimensionError("operator must be square")
-            return cls(a.n_rows, lambda v: spmv(a, v))
-        a = check_finite("operator", np.asarray(a))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            apply = lambda v: spmv(a, v)
+        elif hasattr(a, "matvec"):
+            apply = a.matvec
+        else:
+            if np.asarray(a).dtype.kind not in "biufc":
+                raise TypeError(f"operator must be a matrix or a LinearOperator, got {type(a).__name__}")
+            a = check_finite("operator", np.asarray(a))
+            apply = lambda v: a @ v
+        if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"operator must be square, got {a.shape}")
-        return cls(a.shape[0], lambda v: a @ v)
+        return cls(a.shape[0], apply)
 
 
 def as_operator(a) -> OperatorHandle:
-    """Coerce a SparseMatrix, dense array or handle into an OperatorHandle."""
+    """Coerce a handle, a SparseMatrix, a scipy sparse matrix or array (checked
+    as a SparseMatrix over its CSR), a LinearOperator (anything with ``shape``
+    and ``matvec``) or a numeric array; any other type raises TypeError."""
     if isinstance(a, OperatorHandle):
         return a
     return OperatorHandle.from_matrix(a)
@@ -110,11 +120,13 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
     """Run up to ``m`` Arnoldi steps of ``op`` started from ``r``.
 
     Classical Gram-Schmidt over a row-major basis: a projection ``h = V* w``
-    and an update ``w -= V h``, each a matrix-vector product against all rows
-    built so far. By default each step then measures its loss of
-    orthogonality with a second projection ``h2 = V* w`` and applies that
-    update (CGS2) only when ``max|h2| > ORTH_RTOL * ||w||``, which keeps
-    ``max|I - V* V|`` at about ``ORTH_RTOL``. A lucky breakdown, a next
+    and an update ``w -= V h`` over all rows built so far, or, where every
+    coefficient before the last two is at most ``ORTH_RTOL * sqrt(||w||^2 -
+    ||h||^2)`` (Lanczos' three-term form, as on a Hermitian operator), over
+    the last two rows only, the others recorded as 0. By default a second
+    projection ``h2 = V* w`` measures the loss of orthogonality, and its
+    update (CGS2) is applied only when ``max|h2| > ORTH_RTOL * ||w||``, which
+    keeps ``max|I - V* V|`` at about ``ORTH_RTOL``. A lucky breakdown, a next
     subdiagonal entry that vanishes relative to the operator scale, ends the
     run at step ``j`` with ``j`` basis columns and the square ``H_j``, so
     ``A v[:, :j] = v @ hbar`` holds for every result. The basis ``vt`` is left
@@ -123,7 +135,7 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
 
     Parameters
     ----------
-    op : OperatorHandle, SparseMatrix or square ndarray
+    op : anything :func:`as_operator` takes
     r : ndarray
         Start vector, must be nonzero; the first basis column is ``r/||r||``.
     m : int
@@ -161,8 +173,14 @@ def arnoldi(op, r: np.ndarray, m: int, reorth: bool = True, stop=None) -> Arnold
         basis, w = vt[: j + 1], vt[j + 1]
         w[...] = w0 if j == 0 else op(vt[j])
         h = (basis @ w.conj()).conj()
+        # Lanczos' three-term step: coefficients at most ORTH_RTOL times what
+        # the update leaves of w (by Pythagoras) stay in w, recorded as 0
+        short = j >= 2 and np.max(np.abs(h[:-2])) <= ORTH_RTOL * np.sqrt(
+            max(np.vdot(w, w).real - np.vdot(h, h).real, 0.0))
+        first = j - 1 if short else 0  # the first row the update reads
+        h[:first] = 0.0
         hbar[: j + 1, j] = h
-        w -= np.matmul(h, basis, out=scratch)
+        w -= np.matmul(h[first:], basis[first:], out=scratch)
         hnext = np.linalg.norm(w)
         if reorth:
             h = (basis @ w.conj()).conj()

@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from kryrec.arnoldi import (
+    BREAKDOWN_RTOL,
     ORTH_RTOL,
     ArnoldiBreakdownError,
     ArnoldiDecomposition,
@@ -17,9 +20,9 @@ from kryrec.arnoldi import (
 from kryrec.augmented import AugmentationSpace, Constraint, build_augmentation
 from kryrec.baseline import SolverConfig, restarted_solve
 from kryrec.core import DimensionError, SparseMatrix
-from kryrec.io import tridiagonal_matrix
+from kryrec.io import generate_family, tridiagonal_matrix
 from kryrec.unprojected import unproj_rfom_cycle, unproj_rgmres_cycle, unproj_solve
-from test_acceptance import sparse_random
+from test_acceptance import deflated_spd, sparse_random
 
 
 def random_sparse(rng, n, shift=0.0):
@@ -123,6 +126,109 @@ def test_near_grade_spectrum_keeps_orthogonality(complex_):
     assert arnoldi_relation_residual(dec, a) <= 1e-12 * np.linalg.norm(a)
     # the second update is applied here: the result is not the single pass's
     assert not np.array_equal(dec.v, arnoldi(a, r, 40, reorth=False).v)
+
+
+def full_update_arnoldi(op, r, m, reorth=True, stop=None):
+    """The Arnoldi process whose first update always runs over all rows built
+    so far, never in the three-term form: on valid input, ``arnoldi``'s step
+    for an operator that never shows that form, so its results are the
+    reference bits."""
+    op = as_operator(op)
+    beta = np.linalg.norm(r)
+    w0 = op(r / beta)
+    dtype = np.result_type(r.dtype, w0.dtype, np.float64)
+    vt = np.empty((m + 1, op.dimension), dtype=dtype)
+    hbar = np.zeros((m + 1, m), dtype=dtype)
+    scratch = np.empty(op.dimension, dtype=dtype)
+    vt[0], scale, rows = r / beta, np.linalg.norm(w0), 1
+    for j in range(m):
+        basis, w = vt[: j + 1], vt[j + 1]
+        w[...] = w0 if j == 0 else op(vt[j])
+        h = (basis @ w.conj()).conj()
+        hbar[: j + 1, j] = h
+        w -= np.matmul(h, basis, out=scratch)
+        hnext = np.linalg.norm(w)
+        if reorth:
+            h = (basis @ w.conj()).conj()
+            if np.max(np.abs(h)) > ORTH_RTOL * hnext:
+                hbar[: j + 1, j] += h
+                w -= np.matmul(h, basis, out=scratch)
+                hnext = np.linalg.norm(w)
+        if hnext <= BREAKDOWN_RTOL * scale:
+            break
+        hbar[j + 1, j] = hnext
+        np.divide(w, hnext, out=w)
+        rows = j + 2
+        if stop is not None and stop(j + 1, vt, hbar):
+            break
+    return ArnoldiDecomposition(v=vt[:rows].T, hbar=hbar[:rows, : j + 1].copy())
+
+
+def non_hermitian_case(kind):
+    rng = np.random.default_rng(8)
+    if kind == "dense-nonsymmetric":
+        n = 300
+        return 2.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
+    if kind == "perturbed-family":
+        # recycle-family's perturbed operator: the deflated SPD base plus 1e-4
+        # times a random sparse matrix with five entries per row
+        base = deflated_spd(10_000)
+        family = generate_family("perturbed", 10_000, 1, {"base": base, "eps": 1e-4, "density": 5e-4})
+        return family.systems[0][0], rng.standard_normal(10_000)
+    n = 300
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 2.0 * np.eye(n) + g / np.sqrt(2 * n), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("reorth", [True, False], ids=["cgs2", "single-pass"])
+@pytest.mark.parametrize("kind", ["dense-nonsymmetric", "perturbed-family", "complex-general"])
+def test_non_hermitian_steps_are_the_full_update_bit_for_bit(kind, reorth):
+    # a non-Hermitian step's early coefficients are far above the three-term
+    # test's bound, so every step runs the full update
+    a, r = non_hermitian_case(kind)
+    dec, ref = arnoldi(a, r, 40, reorth=reorth), full_update_arnoldi(a, r, 40, reorth=reorth)
+    assert np.array_equal(dec.v, ref.v)
+    assert np.array_equal(dec.hbar, ref.hbar)
+
+
+def hermitian_case(kind):
+    rng = np.random.default_rng(9)
+    if kind == "real-spd":  # the benchmark's cold-large operator
+        return deflated_spd(50_000), rng.standard_normal(50_000)
+    if kind == "real-indefinite":  # a second difference shifted into its spectrum
+        n, idx = 2_000, np.arange(2_000)
+        rows, cols = np.concatenate([idx, idx[:-1], idx[1:]]), np.concatenate([idx, idx[1:], idx[:-1]])
+        vals = np.concatenate([np.full(n, 0.7), -np.ones(2 * (n - 1))])
+        return SparseMatrix.from_coo(rows, cols, vals, (n, n)), rng.standard_normal(n)
+    n = 600
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return 1.5 * np.eye(n) + (g + g.conj().T) / np.sqrt(8 * n), r
+
+
+@pytest.mark.parametrize("kind", ["real-spd", "real-indefinite", "complex-hermitian"])
+def test_hermitian_steps_take_the_three_term_update(kind):
+    a, r = hermitian_case(kind)
+    dec = arnoldi(a, r, 40)
+    assert dec.j == 40
+    gram = dec.v.conj().T @ dec.v
+    assert np.max(np.abs(gram - np.eye(41))) <= 2 * ORTH_RTOL
+    fro = a.frobenius_norm() if isinstance(a, SparseMatrix) else np.linalg.norm(a)
+    assert arnoldi_relation_residual(dec, a) <= 1e-12 * fro
+    # a column j >= 2 of the three-term step holds exact zeros above its superdiagonal
+    short = [not np.any(dec.hbar[: j - 1, j]) for j in range(2, dec.j)]
+    assert np.mean(short) >= 0.9
+
+
+@pytest.mark.parametrize("m", [40, 100, 200])
+def test_three_term_update_keeps_orthogonality_on_the_cold_large_operator(m):
+    # the benchmark's cold-large operator; the longer the cycle, the more steps
+    # see converged Ritz values and fall back to the full update (about 62% of
+    # the columns stay three-term at m = 200)
+    a = deflated_spd(50_000)
+    dec = arnoldi(a, np.random.default_rng(10).standard_normal(50_000), m)
+    assert dec.j == m
+    assert np.max(np.abs(dec.v.T @ dec.v - np.eye(m + 1))) <= 2 * ORTH_RTOL
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -378,3 +484,71 @@ def test_dense_operator_with_a_non_finite_entry_is_refused(monkeypatch, solve, e
         with pytest.raises(ValueError, match="operator contains non-finite entries"):
             solve(dense, np.ones(30))
     assert matvecs == []
+
+
+def type_case_system():
+    """A well-conditioned nonsymmetric sparse system: its COO matrix, with
+    duplicate entries, and a right-hand side."""
+    rng = np.random.default_rng(11)
+    n = 80
+    rows = np.append(rng.integers(0, n, 400), np.arange(n))
+    cols = np.append(rng.integers(0, n, 400), np.arange(n))
+    vals = np.append(rng.standard_normal(400), np.full(n, 8.0))
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), (n, n)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda coo: coo.tocsr(),
+        lambda coo: scipy.sparse.csr_array(coo),
+        lambda coo: coo,
+        lambda coo: scipy.sparse.linalg.aslinearoperator(coo.tocsr()),
+        lambda coo: scipy.sparse.linalg.LinearOperator(coo.shape, matvec=coo.tocsr().dot),
+    ],
+    ids=["csr_matrix", "csr_array", "coo_matrix", "aslinearoperator", "LinearOperator"],
+)
+@pytest.mark.parametrize("method", ["fom", "gmres"])
+def test_scipy_operators_solve_as_the_sparse_matrix(convert, method):
+    # a scipy sparse input becomes a SparseMatrix over its own CSR arrays, and a
+    # LinearOperator's matvec is the handle's apply: the solve is the one on
+    # SparseMatrix.from_coo of the same entries, bit for bit
+    coo, b = type_case_system()
+    cfg = SolverConfig(10, 1e-10, max_cycles=20)
+    ref = restarted_solve(SparseMatrix.from_coo(coo.row, coo.col, coo.data, coo.shape), b, None, cfg, method)
+    res = restarted_solve(convert(coo), b, None, cfg, method)
+    assert ref.converged and res.matvec_count == ref.matvec_count and res.cycles_used == ref.cycles_used
+    assert np.array_equal(res.x, ref.x)
+
+
+class CountingLinearOperator:
+    """An object with ``shape`` and ``matvec`` that counts its applications."""
+
+    def __init__(self, shape):
+        self.shape, self.matvec_count = shape, 0
+
+    def matvec(self, v):
+        self.matvec_count += 1
+        return np.zeros(self.shape[0])
+
+
+@pytest.mark.parametrize(
+    "operator, error, fragment",
+    [
+        (scipy.sparse.csr_matrix(np.ones((3, 4))), DimensionError, "operator must be square, got (3, 4)"),
+        (scipy.sparse.csr_array(np.diag([1.0, np.nan, 1.0])), ValueError, "values contains non-finite"),
+        (CountingLinearOperator((3, 4)), DimensionError, "operator must be square, got (3, 4)"),
+        (lambda v: v, TypeError, "got function"),
+        ("3x3", TypeError, "got str"),
+        (None, TypeError, "got NoneType"),
+        ([[1.0, None], [None, 1.0]], TypeError, "got list"),
+    ],
+    ids=["sparse-not-square", "sparse-non-finite", "operator-not-square", "callable", "str", "none", "object-list"],
+)
+def test_operators_of_other_types_and_shapes_are_refused(monkeypatch, operator, error, fragment):
+    matvecs = []
+    apply = OperatorHandle.__call__
+    monkeypatch.setattr(OperatorHandle, "__call__", lambda self, v: matvecs.append(1) or apply(self, v))
+    with pytest.raises(error, match=re.escape(fragment)):
+        restarted_solve(operator, np.ones(3), None, SolverConfig(3, 1e-8), "gmres")
+    assert len(matvecs) == getattr(operator, "matvec_count", 0) == 0
